@@ -36,7 +36,7 @@ from .hamiltonian import (
     TermId,
     assemble_hamiltonian,
     build_term,
-    two_body_element,
+    coefficient_tensors,
 )
 from .modespace import (
     BelowEdge,
@@ -50,7 +50,6 @@ from .modespace import (
     build_pair_hamiltonian,
     continuum_edge,
     mode_space,
-    pair_overlap,
     solve_bound_states,
 )
 from .models import (

@@ -15,9 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ElementEngine
 from .fock import enumerate_sector
-from .hamiltonian import SparseHamiltonian, TermId, assemble_hamiltonian
+from .hamiltonian import (
+    HermiticityError,
+    SparseHamiltonian,
+    TermId,
+    assemble_hamiltonian,
+    coefficient_tensors,
+)
 from .modespace import CompositeSpectrum, ModeSpace
 from .models import ConfigError, ModelConfig, build_mode_space, load_config
 from .numerics import EigenConvergenceError, sparse_lowest_eigen
@@ -150,13 +155,13 @@ def _sector_csv(n: int, eigenvalues: Sequence[float]) -> str:
 def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) -> int:
     started = time.perf_counter()
     space, spectrum = _solve(config)
-    engine = ElementEngine(space, spectrum)
+    tensors = coefficient_tensors(space, spectrum)
     sectors = []
     sector_eigs: dict[int, list[float]] = {}
     hams: dict[int, SparseHamiltonian] = {}
     for n in range(config.n_max + 1):
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
-        ham = assemble_hamiltonian(basis, space, spectrum, engine)
+        ham = assemble_hamiltonian(basis, space, spectrum, tensors)
         hams[n] = ham
         k = min(basis.dim, _EIGENVALUES_PER_SECTOR)
         eigs = [float(v) for v in sparse_lowest_eigen(ham.total, k)]
@@ -233,10 +238,10 @@ def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
 
 def _cmd_export_matrix(config: ModelConfig, out_dir: Path) -> int:
     space, spectrum = _solve(config)
-    engine = ElementEngine(space, spectrum)
+    tensors = coefficient_tensors(space, spectrum)
     for n in range(config.n_max + 1):
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
-        ham = assemble_hamiltonian(basis, space, spectrum, engine)
+        ham = assemble_hamiltonian(basis, space, spectrum, tensors)
         for term in TermId:
             _write_text(
                 out_dir / f"term_{term.value}_sector_{n}.csv",
@@ -266,13 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="largest constituent sector for oracle verification (guarded at 6); "
             "on `spectrum` this also embeds a verification summary in the report",
-        )
-        p.add_argument("--threads", type=int, default=1, help="worker threads (reserved)")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="seed for randomized verification tensors (reserved)",
         )
     return parser
 
@@ -306,7 +304,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (EigenConvergenceError, FloatingPointError) as exc:
+    except (EigenConvergenceError, FloatingPointError, HermiticityError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

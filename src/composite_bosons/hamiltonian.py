@@ -13,9 +13,11 @@ SCSC   atom-molecule scattering, direct plus two exchange kets
 CCCC   molecule-molecule scattering, direct plus two exchange kets
 ====== =======================================================
 
-Each term is applied to every ket basis state by explicit ladder actions;
-every bra-ket coefficient is an exact few-particle contraction evaluated
-through :mod:`composite_bosons.algebra`.
+Each term is applied to every ket basis state by explicit ladder actions.
+The bra-ket coefficients of a term form one tensor per model, a closed-form
+contraction of ``O``, ``T4`` and the pair coefficients ``phi[a, p, q]``
+built once by :func:`coefficient_tensors`.  This route does not use
+:mod:`composite_bosons.algebra`; only the oracle does.
 """
 
 from __future__ import annotations
@@ -27,17 +29,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .algebra import (
-    Atom,
-    ElementEngine,
-    FormalProduct,
-    OneBody,
-    Pair,
-    TwoBody,
-    pair_interaction_ops,
-)
+# Unused here, kept importable: perfbench's layer probe reports four algebra metrics by it.
+from .algebra import ElementEngine  # noqa: F401
 from .fock import OccupationState, SectorBasis, apply_ladder
-from .modespace import CompositeSpectrum, ModeSpace, TwoBodyTensor
+from .modespace import CompositeSpectrum, ModeSpace
 from .numerics import SparseMatrix
 
 HERMITICITY_TOL = 1e-12
@@ -65,103 +60,68 @@ TERM_PREFACTOR: Mapping[TermId, float] = {
     TermId.CCCC: 0.5,
 }
 
-_H2 = pair_interaction_ops(1, 2)
-_H3 = (OneBody(1), OneBody(2), OneBody(3), TwoBody(1, 2), TwoBody(1, 3), TwoBody(2, 3))
-_H4 = (
-    OneBody(1),
-    OneBody(2),
-    OneBody(3),
-    OneBody(4),
-    TwoBody(1, 2),
-    TwoBody(1, 3),
-    TwoBody(1, 4),
-    TwoBody(2, 3),
-    TwoBody(2, 4),
-    TwoBody(3, 4),
-)
-_T_CROSS_3 = (TwoBody(1, 2), TwoBody(1, 3))
-_T_CROSS_4 = (TwoBody(1, 3), TwoBody(1, 4), TwoBody(2, 3), TwoBody(2, 4))
-
-
-def two_body_element(two_body: TwoBodyTensor, m: int, n: int, p: int, q: int) -> float:
-    """Atom-atom scattering coefficient with the ket in swapped slot order.
-
-    The ket assigns mode p to particle 2 and q to particle 1, so the fixed
-    slot convention of the tensor gives ``T4[m, n, q, p]``.
-    """
-    t4 = two_body.t4
-    mm = t4.shape[0]
-    for idx in (m, n, p, q):
-        if not 0 <= idx < mm:
-            raise IndexError(f"mode index {idx} out of range [0, {mm})")
-    return float(t4[m, n, q, p])
+CoefficientTensors = Mapping[TermId, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Bra-ket coefficients, each with the literal label structure of its term.
+# Bra-ket coefficients, one tensor per term.
 
 
-def _coeff_ss(eng: ElementEngine, n: int, m: int) -> float:
-    return eng.element(
-        FormalProduct(1.0, (Atom(n, 1),)),
-        (OneBody(1),),
-        FormalProduct(1.0, (Atom(m, 1),)),
+def coefficient_tensors(space: ModeSpace, spectrum: CompositeSpectrum) -> dict[TermId, np.ndarray]:
+    """The seven coefficient tensors of one model, indexed as the walk reads them.
+
+    ``SS[n, m]``, ``SSSS[m, n, p, q]``, ``CC[a, b]``, ``CSS[a, m, n]``,
+    ``SSC[m, n, a]``, ``SCSC[m, a, b, n]`` and ``CCCC[a, b, t, u]`` hold the
+    bra indices first and the ket indices last.  Each is the exact
+    contraction of its bra and ket particle-label structures with the
+    operator the term carries.  ``SSC`` is the transpose of ``CSS``, so the
+    two rearrangement blocks come out bitwise transposed.
+    """
+    o = space.one_body.mat
+    t4 = space.two_body.t4
+    phi = spectrum.coefficients
+
+    def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+        return np.einsum(subscripts, *operands, optimize=True)
+
+    # Bra tensors times an operator, indexed by the ket modes of particles
+    # 1, 2, ... in their last axes.
+    # <phi_a(1,2)| O(1) + O(2) + T(1,2)
+    pair = contract("aij,ik->akj", phi, o) + contract("aij,jl->ail", phi, o)
+    pair += contract("aij,ijkl->akl", phi, t4)
+    # <m(1) phi_a(2,3)| under T(1,2) + T(1,3), then under all three-particle terms
+    atom_pair_cross = contract("mjnq,ajk->manqk", t4, phi) + contract("mknr,ajk->manjr", t4, phi)
+    eye = np.eye(space.n_modes)
+    atom_pair = contract("mn,ajk->manjk", o, phi) + contract("mn,ajk->manjk", eye, pair)
+    atom_pair += atom_pair_cross
+    # <phi_a(1,2) phi_b(3,4)| under T(1,3) + T(1,4) + T(2,3) + T(2,4), then
+    # under all four-particle terms
+    pair_pair_cross = (
+        contract("ikpr,aij,bkl->abpjrl", t4, phi, phi)
+        + contract("ilps,aij,bkl->abpjks", t4, phi, phi)
+        + contract("jkqr,aij,bkl->abiqrl", t4, phi, phi)
+        + contract("jlqs,aij,bkl->abiqks", t4, phi, phi)
     )
+    pair_pair = contract("aij,bkl->abijkl", pair, phi) + contract("aij,bkl->abijkl", phi, pair)
+    pair_pair += pair_pair_cross
 
-
-def _coeff_ssss(eng: ElementEngine, m: int, n: int, p: int, q: int) -> float:
-    # ket modes sit in swapped slots: p on particle 2, q on particle 1
-    return eng.element(
-        FormalProduct(1.0, (Atom(m, 1), Atom(n, 2))),
-        (TwoBody(1, 2),),
-        FormalProduct(1.0, (Atom(p, 2), Atom(q, 1))),
-    )
-
-
-def _coeff_cc(eng: ElementEngine, a: int, b: int) -> float:
-    return eng.element(
-        FormalProduct(1.0, (Pair(a, (1, 2)),)),
-        _H2,
-        FormalProduct(1.0, (Pair(b, (1, 2)),)),
-    )
-
-
-def _coeff_css(eng: ElementEngine, a: int, m: int, n: int) -> float:
-    return eng.element(
-        FormalProduct(1.0, (Pair(a, (1, 2)),)),
-        _H2,
-        FormalProduct(1.0, (Atom(m, 2), Atom(n, 1))),
-    )
-
-
-def _coeff_ssc(eng: ElementEngine, m: int, n: int, a: int) -> float:
-    return eng.element(
-        FormalProduct(1.0, (Atom(m, 1), Atom(n, 2))),
-        _H2,
-        FormalProduct(1.0, (Pair(a, (1, 2)),)),
-    )
-
-
-def _coeff_scsc(eng: ElementEngine, m: int, a: int, b: int, n: int) -> float:
-    bra = FormalProduct(1.0, (Atom(m, 1), Pair(a, (2, 3))))
-    direct = eng.element(bra, _T_CROSS_3, FormalProduct(1.0, (Pair(b, (2, 3)), Atom(n, 1))))
-    exch_1 = eng.element(bra, _H3, FormalProduct(1.0, (Pair(b, (1, 3)), Atom(n, 2))))
-    exch_2 = eng.element(bra, _H3, FormalProduct(1.0, (Pair(b, (1, 2)), Atom(n, 3))))
-    return direct + exch_1 + exch_2
-
-
-def _coeff_cccc(eng: ElementEngine, a: int, b: int, t: int, u: int) -> float:
-    bra = FormalProduct(1.0, (Pair(a, (1, 2)), Pair(b, (3, 4))))
-    direct = eng.element(
-        bra, _T_CROSS_4, FormalProduct(1.0, (Pair(t, (3, 4)), Pair(u, (1, 2))))
-    )
-    exch_1 = eng.element(
-        bra, _H4, FormalProduct(1.0, (Pair(t, (2, 4)), Pair(u, (1, 3))))
-    )
-    exch_2 = eng.element(
-        bra, _H4, FormalProduct(1.0, (Pair(t, (2, 3)), Pair(u, (1, 4))))
-    )
-    return direct + exch_1 + exch_2
+    css = pair.transpose(0, 2, 1)  # ket: m on particle 2, n on particle 1
+    return {
+        TermId.SS: o,
+        TermId.SSSS: t4.transpose(0, 1, 3, 2),  # ket: p on particle 2, q on particle 1
+        TermId.CC: contract("aij,bij->ab", pair, phi),
+        TermId.CSS: css,
+        TermId.SSC: css.T,
+        # direct ket phi_b(2,3) n(1); exchange kets phi_b(1,3) n(2) and phi_b(1,2) n(3)
+        TermId.SCSC: contract("manjk,bjk->mabn", atom_pair_cross, phi)
+        + contract("maink,bik->mabn", atom_pair, phi)
+        + contract("maijn,bij->mabn", atom_pair, phi),
+        # direct ket phi_t(3,4) phi_u(1,2); exchange kets phi_t(2,4) phi_u(1,3)
+        # and phi_t(2,3) phi_u(1,4)
+        TermId.CCCC: contract("abijkl,tkl,uij->abtu", pair_pair_cross, phi, phi)
+        + contract("abijkl,tjl,uik->abtu", pair_pair, phi, phi)
+        + contract("abijkl,tjk,uil->abtu", pair_pair, phi, phi),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +158,18 @@ def _occupied(counts: tuple[int, ...]) -> list[int]:
 def _term_contributions(
     term: TermId,
     ket: OccupationState,
-    space: ModeSpace,
-    spectrum: CompositeSpectrum,
-    eng: ElementEngine,
+    tensors: CoefficientTensors,
 ) -> Iterator[tuple[OccupationState, float]]:
     """Yield (bra state, value) pairs for one term applied to one ket."""
-    n_modes = space.n_modes
-    n_comp = spectrum.n_composites
+    n_modes = len(ket.atoms)
+    n_comp = len(ket.molecules)
     pref = TERM_PREFACTOR[term]
+    c = tensors[term]
 
     if term is TermId.SS:
         for m in _occupied(ket.atoms):
             for n in range(n_modes):
-                coeff = _coeff_ss(eng, n, m)
+                coeff = c[n, m]
                 if coeff == 0.0:
                     continue
                 walked = _walk(ket, [("atom", m, "annihilate"), ("atom", n, "create")])
@@ -225,7 +184,7 @@ def _term_contributions(
             for p in _occupied(after_q.atoms):
                 for m in range(n_modes):
                     for n in range(n_modes):
-                        coeff = _coeff_ssss(eng, m, n, p, q)
+                        coeff = c[m, n, p, q]
                         if coeff == 0.0:
                             continue
                         walked = _walk(
@@ -244,7 +203,7 @@ def _term_contributions(
     elif term is TermId.CC:
         for b in _occupied(ket.molecules):
             for a in range(n_comp):
-                coeff = _coeff_cc(eng, a, b)
+                coeff = c[a, b]
                 if coeff == 0.0:
                     continue
                 walked = _walk(
@@ -260,7 +219,7 @@ def _term_contributions(
             assert after_n is not None
             for m in _occupied(after_n.atoms):
                 for a in range(n_comp):
-                    coeff = _coeff_css(eng, a, m, n)
+                    coeff = c[a, m, n]
                     if coeff == 0.0:
                         continue
                     walked = _walk(
@@ -279,7 +238,7 @@ def _term_contributions(
         for a in _occupied(ket.molecules):
             for m in range(n_modes):
                 for n in range(n_modes):
-                    coeff = _coeff_ssc(eng, m, n, a)
+                    coeff = c[m, n, a]
                     if coeff == 0.0:
                         continue
                     walked = _walk(
@@ -301,7 +260,7 @@ def _term_contributions(
             for b in _occupied(after_n.molecules):
                 for a in range(n_comp):
                     for m in range(n_modes):
-                        coeff = _coeff_scsc(eng, m, a, b, n)
+                        coeff = c[m, a, b, n]
                         if coeff == 0.0:
                             continue
                         walked = _walk(
@@ -324,7 +283,7 @@ def _term_contributions(
             for u in _occupied(after_t.molecules):
                 for b in range(n_comp):
                     for a in range(n_comp):
-                        coeff = _coeff_cccc(eng, a, b, t, u)
+                        coeff = c[a, b, t, u]
                         if coeff == 0.0:
                             continue
                         walked = _walk(
@@ -365,21 +324,23 @@ def build_term(
     basis: SectorBasis,
     space: ModeSpace,
     spectrum: CompositeSpectrum,
-    engine: ElementEngine | None = None,
+    tensors: CoefficientTensors | None = None,
 ) -> SparseMatrix:
     """Sector-block matrix of a single term on the given basis.
 
-    Contributions landing outside the basis are dropped (projection onto the
-    span); within a fixed-N sector that never happens because every term
-    conserves the constituent number.
+    ``tensors`` is the model's :func:`coefficient_tensors`, built here when
+    omitted.  Contributions landing outside the basis are dropped (projection
+    onto the span); within a fixed-N sector that never happens because every
+    term conserves the constituent number.
     """
     _check_consistent(basis, space, spectrum)
-    eng = engine if engine is not None else ElementEngine(space, spectrum)
+    if tensors is None:
+        tensors = coefficient_tensors(space, spectrum)
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     for j, ket in enumerate(basis.states):
-        for bra, value in _term_contributions(term, ket, space, spectrum, eng):
+        for bra, value in _term_contributions(term, ket, tensors):
             i = basis.position(bra)
             if i is not None and value != 0.0:
                 rows.append(i)
@@ -421,7 +382,7 @@ def assemble_hamiltonian(
     basis: SectorBasis,
     space: ModeSpace,
     spectrum: CompositeSpectrum,
-    engine: ElementEngine | None = None,
+    tensors: CoefficientTensors | None = None,
 ) -> SparseHamiltonian:
     """Build all seven term blocks and their sum on one sector basis.
 
@@ -429,8 +390,9 @@ def assemble_hamiltonian(
     rearrangement blocks are asserted, not assumed; a failure raises with
     the offending entries.
     """
-    eng = engine if engine is not None else ElementEngine(space, spectrum)
-    terms = {term: build_term(term, basis, space, spectrum, eng) for term in TermId}
+    if tensors is None:
+        tensors = coefficient_tensors(space, spectrum)
+    terms = {term: build_term(term, basis, space, spectrum, tensors) for term in TermId}
     total = SparseMatrix.zero(basis.dim)
     for term in TermId:
         total = total + terms[term]

@@ -248,10 +248,6 @@ class CompositeSpectrum:
         return float(self.coefficients[alpha, p, q])
 
 
-def pair_overlap(spectrum: CompositeSpectrum, alpha: int, p: int, q: int) -> float:
-    return spectrum.pair_overlap(alpha, p, q)
-
-
 def continuum_edge(one_body: OneBodyTensor) -> float:
     """Minimum energy of two non-interacting constituents."""
     values, _ = dense_symmetric_eigen(one_body.mat)

@@ -28,12 +28,9 @@ from .algebra import (
     formal_inner_product,
     pair_interaction_ops,
 )
-from .fock import OccupationState, enumerate_sector
-from .hamiltonian import TermId, build_term
+from .fock import OccupationState, enumerate_sector, normalization_constant
+from .hamiltonian import TermId, build_term, coefficient_tensors
 from .modespace import CompositeSpectrum, ModeSpace
-
-# The projected terms reuse the second-quantized term labels.
-ProjectedTermId = TermId
 
 EXPANSION_GUARD = 6
 
@@ -67,7 +64,7 @@ def expand_basis_state(state: OccupationState) -> FormalState:
         )
     atom_modes = [m for m, count in enumerate(state.atoms) for _ in range(count)]
     pair_modes = [a for a, count in enumerate(state.molecules) for _ in range(count)]
-    weight = _normalization(state)
+    weight = normalization_constant(state)
     products = []
     for perm in permutations(range(1, n + 1)):
         factors: list[FormalFactor] = []
@@ -80,15 +77,6 @@ def expand_basis_state(state: OccupationState) -> FormalState:
             pos += 2
         products.append(FormalProduct(weight, tuple(factors)))
     return FormalState.collect(products)
-
-
-def _normalization(state: OccupationState) -> float:
-    total = math.factorial(state.constituents) * 2 ** state.n_molecules
-    for n in state.atoms:
-        total *= math.factorial(n)
-    for n in state.molecules:
-        total *= math.factorial(n)
-    return 1.0 / math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +208,7 @@ def _emit_configs(
 
 
 def apply_projected_term(
-    term: ProjectedTermId,
+    term: TermId,
     state: FormalState,
     space: ModeSpace,
     spectrum: CompositeSpectrum,
@@ -256,7 +244,7 @@ def apply_projected_term(
 
 
 def oracle_matrix_element(
-    term: ProjectedTermId,
+    term: TermId,
     bra: OccupationState,
     ket: OccupationState,
     space: ModeSpace,
@@ -299,6 +287,7 @@ def verify_sectors(
     structure is stable for JSON serialization.
     """
     eng = ElementEngine(space, spectrum)
+    tensors = coefficient_tensors(space, spectrum)
     rows: list[dict] = []
     max_diff = 0.0
     checked = 0
@@ -306,7 +295,7 @@ def verify_sectors(
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
         expansions = [expand_basis_state(s) for s in basis.states]
         for term in terms:
-            block = build_term(term, basis, space, spectrum, eng).to_dense()
+            block = build_term(term, basis, space, spectrum, tensors).to_dense()
             for j, ket in enumerate(basis.states):
                 applied = apply_projected_term(term, expansions[j], space, spectrum, eng)
                 for i, bra in enumerate(basis.states):

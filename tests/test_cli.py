@@ -114,6 +114,22 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_hermiticity_error_exit_code(tmp_path, monkeypatch, capsys):
+    from composite_bosons.hamiltonian import HermiticityError
+
+    cfg = write_config(tmp_path, TWO_SITE)
+
+    def fake_assemble(*args, **kwargs):
+        raise HermiticityError("assembled sector matrix asymmetry 1.000e-06 exceeds 1.0e-12")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", fake_assemble)
+    rc = cli.main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: assembled sector matrix asymmetry")
+    assert err.count("\n") == 1
+
+
 def test_verify_max_n_guard(tmp_path):
     cfg = write_config(tmp_path, TWO_SITE)
     rc = cli.main(["verify", "--config", cfg, "--max-n", "7"])

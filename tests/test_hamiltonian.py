@@ -8,9 +8,9 @@ from composite_bosons.hamiltonian import (
     TermId,
     assemble_hamiltonian,
     build_term,
-    two_body_element,
+    coefficient_tensors,
 )
-from composite_bosons.modespace import LowestK, TwoBodyTensor, mode_space
+from composite_bosons.modespace import LowestK, mode_space
 from composite_bosons.models import build_ring_model, random_mode_space
 
 R2 = math.sqrt(2.0)
@@ -30,55 +30,106 @@ def random_model():
     return space, spectrum
 
 
-def test_two_body_element_contact():
+def _reference_element(space, spectrum, term, index):
+    """One coefficient as a per-element labeled contraction, with the
+    particle-label structure of its term."""
+    from composite_bosons.algebra import (
+        Atom,
+        FormalProduct,
+        OneBody,
+        Pair,
+        TwoBody,
+        labeled_matrix_element,
+        pair_interaction_ops,
+    )
+
+    def element(bra, ops, ket):
+        return labeled_matrix_element(
+            FormalProduct(1.0, bra), ops, FormalProduct(1.0, ket), space, spectrum
+        )
+
+    def full(labels):
+        ops = [OneBody(i) for i in labels]
+        return tuple(ops + [TwoBody(i, j) for i in labels for j in labels if i < j])
+
+    h2 = pair_interaction_ops(1, 2)
+    if term is TermId.SS:
+        n, m = index
+        return element((Atom(n, 1),), (OneBody(1),), (Atom(m, 1),))
+    if term is TermId.SSSS:
+        m, n, p, q = index
+        return element((Atom(m, 1), Atom(n, 2)), (TwoBody(1, 2),), (Atom(p, 2), Atom(q, 1)))
+    if term is TermId.CC:
+        a, b = index
+        return element((Pair(a, (1, 2)),), h2, (Pair(b, (1, 2)),))
+    if term is TermId.CSS:
+        a, m, n = index
+        return element((Pair(a, (1, 2)),), h2, (Atom(m, 2), Atom(n, 1)))
+    if term is TermId.SSC:
+        m, n, a = index
+        return element((Atom(m, 1), Atom(n, 2)), h2, (Pair(a, (1, 2)),))
+    if term is TermId.SCSC:
+        m, a, b, n = index
+        bra = (Atom(m, 1), Pair(a, (2, 3)))
+        return (
+            element(bra, (TwoBody(1, 2), TwoBody(1, 3)), (Pair(b, (2, 3)), Atom(n, 1)))
+            + element(bra, full((1, 2, 3)), (Pair(b, (1, 3)), Atom(n, 2)))
+            + element(bra, full((1, 2, 3)), (Pair(b, (1, 2)), Atom(n, 3)))
+        )
+    a, b, t, u = index
+    bra = (Pair(a, (1, 2)), Pair(b, (3, 4)))
+    cross = (TwoBody(1, 3), TwoBody(1, 4), TwoBody(2, 3), TwoBody(2, 4))
+    return (
+        element(bra, cross, (Pair(t, (3, 4)), Pair(u, (1, 2))))
+        + element(bra, full((1, 2, 3, 4)), (Pair(t, (2, 4)), Pair(u, (1, 3))))
+        + element(bra, full((1, 2, 3, 4)), (Pair(t, (2, 3)), Pair(u, (1, 4))))
+    )
+
+
+@pytest.mark.parametrize("model", ["random_model", "two_site"])
+def test_tensors_match_labeled_contractions(model, request):
+    space, spectrum = request.getfixturevalue(model)
+    tensors = coefficient_tensors(space, spectrum)
+    for term in TermId:
+        for index in np.ndindex(*tensors[term].shape):
+            want = _reference_element(space, spectrum, term, index)
+            assert tensors[term][index] == pytest.approx(want, abs=1e-12), (term, index)
+
+
+def test_ssss_tensor_swaps_ket_slots(random_model):
+    space, spectrum = random_model
+    ssss = coefficient_tensors(space, spectrum)[TermId.SSSS]
+    t4 = space.two_body.t4
+    for m, n, p, q in np.ndindex(*t4.shape):
+        assert ssss[m, n, p, q] == t4[m, n, q, p]
+
+
+def test_ssss_tensor_contact():
     t4 = np.zeros((2, 2, 2, 2))
     t4[1, 1, 1, 1] = -3.5
-    tensor = TwoBodyTensor(t4)
-    assert two_body_element(tensor, 1, 1, 1, 1) == -3.5
+    space = mode_space(np.zeros((2, 2)), t4)
+    ssss = coefficient_tensors(space, space.solve_composites(LowestK(0)))[TermId.SSSS]
+    assert ssss[1, 1, 1, 1] == -3.5
+    assert np.count_nonzero(ssss) == 1
 
 
-def test_two_body_element_exchange_symmetry(random_model):
-    space, _ = random_model
-    t = space.two_body
-    m = space.n_modes
-    for m_i in range(m):
-        for n_i in range(m):
-            for p_i in range(m):
-                for q_i in range(m):
-                    assert two_body_element(t, m_i, n_i, p_i, q_i) == pytest.approx(
-                        two_body_element(t, n_i, m_i, q_i, p_i), abs=1e-14
-                    )
-
-
-def test_two_body_element_zero_tensor():
-    tensor = TwoBodyTensor(np.zeros((2, 2, 2, 2)))
-    for idx in np.ndindex(2, 2, 2, 2):
-        assert two_body_element(tensor, *idx) == 0.0
-
-
-def test_two_body_element_range_check():
-    tensor = TwoBodyTensor(np.zeros((2, 2, 2, 2)))
-    with pytest.raises(IndexError):
-        two_body_element(tensor, 0, 0, 0, 2)
-
-
-def test_two_body_element_matches_slot_normalization(random_model):
-    # the dedicated accessor and the generic contraction agree
-    from composite_bosons.algebra import Atom, FormalProduct, TwoBody, labeled_matrix_element
-
+def test_ssss_tensor_exchange_symmetry(random_model):
     space, spectrum = random_model
-    m = space.n_modes
-    for m_i, n_i, p_i, q_i in [(0, 1, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1)]:
-        via_contraction = labeled_matrix_element(
-            FormalProduct(1.0, (Atom(m_i, 1), Atom(n_i, 2))),
-            (TwoBody(1, 2),),
-            FormalProduct(1.0, (Atom(p_i, 2), Atom(q_i, 1))),
-            space,
-            spectrum,
-        )
-        assert two_body_element(space.two_body, m_i, n_i, p_i, q_i) == pytest.approx(
-            via_contraction, abs=1e-14
-        )
+    ssss = coefficient_tensors(space, spectrum)[TermId.SSSS]
+    assert np.max(np.abs(ssss - ssss.transpose(1, 0, 3, 2))) <= 1e-14
+
+
+def test_tensors_vanish_for_zero_model(random_model):
+    _, spectrum = random_model
+    space = mode_space(np.zeros((3, 3)), np.zeros((3, 3, 3, 3)))
+    for term, tensor in coefficient_tensors(space, spectrum).items():
+        assert not np.any(tensor), term
+
+
+def test_ssc_is_css_transposed_bitwise(random_model):
+    space, spectrum = random_model
+    tensors = coefficient_tensors(space, spectrum)
+    assert np.array_equal(tensors[TermId.SSC], tensors[TermId.CSS].T)
 
 
 def test_ss_single_particle_block(random_model):
