@@ -1,6 +1,6 @@
 """Every matrix-element formula, checked against a permutation expansion.
 
-The seven second-quantized terms are built by ladder actions with exact
+The seven second-quantized terms are built as ladder-matrix products with exact
 few-particle bra-kets.  Independently, each occupation state is expanded
 over all particle-label permutations and the first-quantized projected
 terms are applied directly.  The two routes must agree entry by entry on

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -242,7 +242,14 @@ def _single_op_value(
             bra_sub[op.a] + bra_sub[op.b] + ket_sub[op.a] + ket_sub[op.b]
         )
     expr = ",".join(subscripts) + "->"
-    return float(np.einsum(expr, *operands, optimize=True))
+    path = _contraction_path(expr, tuple(arr.shape for arr in operands))
+    return float(np.einsum(expr, *operands, optimize=path))
+
+
+@lru_cache(maxsize=None)
+def _contraction_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """Greedy contraction order of one subscripts string, planned once per shapes."""
+    return np.einsum_path(expr, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
 
 
 def labeled_matrix_element(

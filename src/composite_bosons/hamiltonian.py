@@ -13,10 +13,12 @@ SCSC   atom-molecule scattering, direct plus two exchange kets
 CCCC   molecule-molecule scattering, direct plus two exchange kets
 ====== =======================================================
 
-Each term is applied to every ket basis state by explicit ladder actions.
 The bra-ket coefficients of a term form one tensor per model, a closed-form
 contraction of ``O``, ``T4`` and the pair coefficients ``phi[a, p, q]``
-built once by :func:`coefficient_tensors`.  This route does not use
+built once by :func:`coefficient_tensors`.  Each term's block is the sparse
+product ``pref * L^T (C (x) I) R``: ``L`` and ``R`` stack the annihilator
+products of the term's bra and ket groups over the basis, and ``C`` is the
+tensor with its bra axes flattened into rows.  This route does not use
 :mod:`composite_bosons.algebra`; only the oracle does.
 """
 
@@ -25,13 +27,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 # Unused here, kept importable: perfbench's layer probe reports four algebra metrics by it.
 from .algebra import ElementEngine  # noqa: F401
-from .fock import OccupationState, SectorBasis, apply_ladder
+from .fock import OccupationState, SectorBasis, Species, apply_ladder
 from .modespace import CompositeSpectrum, ModeSpace
 from .numerics import SparseMatrix
 
@@ -68,7 +71,7 @@ CoefficientTensors = Mapping[TermId, np.ndarray]
 
 
 def coefficient_tensors(space: ModeSpace, spectrum: CompositeSpectrum) -> dict[TermId, np.ndarray]:
-    """The seven coefficient tensors of one model, indexed as the walk reads them.
+    """The seven coefficient tensors of one model.
 
     ``SS[n, m]``, ``SSSS[m, n, p, q]``, ``CC[a, b]``, ``CSS[a, m, n]``,
     ``SSC[m, n, a]``, ``SCSC[m, a, b, n]`` and ``CCCC[a, b, t, u]`` hold the
@@ -125,182 +128,79 @@ def coefficient_tensors(space: ModeSpace, spectrum: CompositeSpectrum) -> dict[T
 
 
 # ---------------------------------------------------------------------------
-# Ladder-path evaluation.
+# Terms as products of annihilator stacks.
+
+# The species of each term's bra group and ket group, in the order of the
+# tensor axes.  A term is ``pref * sum c[g, h] (L_g)^T R_h``, where L_g and R_h
+# map the basis through the annihilator products of the two groups.  SSC has
+# no row: it is the CSS block transposed.
+_GROUPS: Mapping[TermId, tuple[tuple[Species, ...], tuple[Species, ...]]] = {
+    TermId.SS: (("atom",), ("atom",)),
+    TermId.SSSS: (("atom", "atom"), ("atom", "atom")),
+    TermId.CC: (("molecule",), ("molecule",)),
+    TermId.CSS: (("molecule",), ("atom", "atom")),
+    TermId.SCSC: (("atom", "molecule"), ("molecule", "atom")),
+    TermId.CCCC: (("molecule", "molecule"), ("molecule", "molecule")),
+}
 
 
-def _walk(
-    state: OccupationState,
-    steps: list[tuple[str, int, str]],
-) -> tuple[float, OccupationState] | None:
-    """Apply ladder steps right-to-left, returning (coefficient, image).
+def _stack(
+    group: tuple[Species, ...],
+    basis: SectorBasis,
+    images: dict[OccupationState, int],
+) -> tuple[list[int], list[int], list[int], list[float]]:
+    """Every nonzero <image| prod_k a_{i_k} |state> of one group on the basis.
 
-    The coefficient multiplies the sqrt factors in sorted order so that a
-    path and its reverse produce bitwise-equal products.
+    Returns (group index, image, column, value) lists; the group index
+    flattens (i_1, i_2, ...) row-major.  New images join ``images``, so a
+    bra stack and a ket stack built against one dict share an image index.
     """
-    factors: list[float] = []
-    current = state
-    for species, index, direction in steps:
-        coeff, nxt = apply_ladder(current, species, index, direction)  # type: ignore[arg-type]
-        if nxt is None:
-            return None
-        factors.append(coeff)
-        current = nxt
-    product = 1.0
-    for f in sorted(factors):
-        product *= f
-    return product, current
+    sizes = [basis.n_atom_modes if s == "atom" else basis.n_molecule_modes for s in group]
+    groups: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for j, state in enumerate(basis.states):
+        # (flat index, stride, value, image), annihilating right to left
+        partial = [(0, 1, 1.0, state)]
+        for species, size in zip(reversed(group), reversed(sizes)):
+            lowered = []
+            for g, stride, value, current in partial:
+                counts = current.atoms if species == "atom" else current.molecules
+                for i, n in enumerate(counts):
+                    if n:
+                        coeff, image = apply_ladder(current, species, i, "annihilate")
+                        lowered.append((g + i * stride, stride * size, value * coeff, image))
+            partial = lowered
+        for g, _, value, image in partial:
+            groups.append(g)
+            rows.append(images.setdefault(image, len(images)))
+            cols.append(j)
+            vals.append(value)
+    return groups, rows, cols, vals
 
 
-def _occupied(counts: tuple[int, ...]) -> list[int]:
-    return [i for i, n in enumerate(counts) if n > 0]
-
-
-def _term_contributions(
-    term: TermId,
-    ket: OccupationState,
-    tensors: CoefficientTensors,
-) -> Iterator[tuple[OccupationState, float]]:
-    """Yield (bra state, value) pairs for one term applied to one ket."""
-    n_modes = len(ket.atoms)
-    n_comp = len(ket.molecules)
-    pref = TERM_PREFACTOR[term]
+def _product(term: TermId, basis: SectorBasis, tensors: CoefficientTensors) -> SparseMatrix:
+    """``pref * L^T (C (x) I) R`` of one term with a row in ``_GROUPS``."""
+    bra_group, ket_group = _GROUPS[term]
+    images: dict[OccupationState, int] = {}
+    left = _stack(bra_group, basis, images)
+    right = left if ket_group == bra_group else _stack(ket_group, basis, images)
+    if not left[3] or not right[3]:
+        return SparseMatrix.zero(basis.dim)
+    n_img = len(images)
     c = tensors[term]
+    n_bra = math.prod(c.shape[: len(bra_group)])
+    coeffs = sp.csr_matrix(TERM_PREFACTOR[term] * c.reshape(n_bra, -1))
 
-    if term is TermId.SS:
-        for m in _occupied(ket.atoms):
-            for n in range(n_modes):
-                coeff = c[n, m]
-                if coeff == 0.0:
-                    continue
-                walked = _walk(ket, [("atom", m, "annihilate"), ("atom", n, "create")])
-                if walked:
-                    ladder, bra = walked
-                    yield bra, pref * coeff * ladder
+    def stacked(groups, rows, cols, vals, size):
+        index = np.asarray(groups) * n_img + np.asarray(rows)
+        return sp.csr_matrix((vals, (index, cols)), shape=(size * n_img, basis.dim))
 
-    elif term is TermId.SSSS:
-        for q in _occupied(ket.atoms):
-            _, after_q = apply_ladder(ket, "atom", q, "annihilate")
-            assert after_q is not None
-            for p in _occupied(after_q.atoms):
-                for m in range(n_modes):
-                    for n in range(n_modes):
-                        coeff = c[m, n, p, q]
-                        if coeff == 0.0:
-                            continue
-                        walked = _walk(
-                            ket,
-                            [
-                                ("atom", q, "annihilate"),
-                                ("atom", p, "annihilate"),
-                                ("atom", n, "create"),
-                                ("atom", m, "create"),
-                            ],
-                        )
-                        if walked:
-                            ladder, bra = walked
-                            yield bra, pref * coeff * ladder
-
-    elif term is TermId.CC:
-        for b in _occupied(ket.molecules):
-            for a in range(n_comp):
-                coeff = c[a, b]
-                if coeff == 0.0:
-                    continue
-                walked = _walk(
-                    ket, [("molecule", b, "annihilate"), ("molecule", a, "create")]
-                )
-                if walked:
-                    ladder, bra = walked
-                    yield bra, pref * coeff * ladder
-
-    elif term is TermId.CSS:
-        for n in _occupied(ket.atoms):
-            _, after_n = apply_ladder(ket, "atom", n, "annihilate")
-            assert after_n is not None
-            for m in _occupied(after_n.atoms):
-                for a in range(n_comp):
-                    coeff = c[a, m, n]
-                    if coeff == 0.0:
-                        continue
-                    walked = _walk(
-                        ket,
-                        [
-                            ("atom", n, "annihilate"),
-                            ("atom", m, "annihilate"),
-                            ("molecule", a, "create"),
-                        ],
-                    )
-                    if walked:
-                        ladder, bra = walked
-                        yield bra, pref * coeff * ladder
-
-    elif term is TermId.SSC:
-        for a in _occupied(ket.molecules):
-            for m in range(n_modes):
-                for n in range(n_modes):
-                    coeff = c[m, n, a]
-                    if coeff == 0.0:
-                        continue
-                    walked = _walk(
-                        ket,
-                        [
-                            ("molecule", a, "annihilate"),
-                            ("atom", n, "create"),
-                            ("atom", m, "create"),
-                        ],
-                    )
-                    if walked:
-                        ladder, bra = walked
-                        yield bra, pref * coeff * ladder
-
-    elif term is TermId.SCSC:
-        for n in _occupied(ket.atoms):
-            _, after_n = apply_ladder(ket, "atom", n, "annihilate")
-            assert after_n is not None
-            for b in _occupied(after_n.molecules):
-                for a in range(n_comp):
-                    for m in range(n_modes):
-                        coeff = c[m, a, b, n]
-                        if coeff == 0.0:
-                            continue
-                        walked = _walk(
-                            ket,
-                            [
-                                ("atom", n, "annihilate"),
-                                ("molecule", b, "annihilate"),
-                                ("molecule", a, "create"),
-                                ("atom", m, "create"),
-                            ],
-                        )
-                        if walked:
-                            ladder, bra = walked
-                            yield bra, pref * coeff * ladder
-
-    elif term is TermId.CCCC:
-        for t in _occupied(ket.molecules):
-            _, after_t = apply_ladder(ket, "molecule", t, "annihilate")
-            assert after_t is not None
-            for u in _occupied(after_t.molecules):
-                for b in range(n_comp):
-                    for a in range(n_comp):
-                        coeff = c[a, b, t, u]
-                        if coeff == 0.0:
-                            continue
-                        walked = _walk(
-                            ket,
-                            [
-                                ("molecule", t, "annihilate"),
-                                ("molecule", u, "annihilate"),
-                                ("molecule", b, "create"),
-                                ("molecule", a, "create"),
-                            ],
-                        )
-                        if walked:
-                            ladder, bra = walked
-                            yield bra, pref * coeff * ladder
-
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown term {term!r}")
+    l_mat = stacked(*left, n_bra)
+    r_mat = l_mat if right is left else stacked(*right, coeffs.shape[1])
+    block = (l_mat.T @ (sp.kron(coeffs, sp.identity(n_img), format="csr") @ r_mat)).tocoo()
+    return SparseMatrix.from_triples(basis.dim, block.row, block.col, block.data)
 
 
 def _check_consistent(basis: SectorBasis, space: ModeSpace, spectrum: CompositeSpectrum) -> None:
@@ -336,17 +236,9 @@ def build_term(
     _check_consistent(basis, space, spectrum)
     if tensors is None:
         tensors = coefficient_tensors(space, spectrum)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for j, ket in enumerate(basis.states):
-        for bra, value in _term_contributions(term, ket, tensors):
-            i = basis.position(bra)
-            if i is not None and value != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(value)
-    return SparseMatrix.from_triples(basis.dim, rows, cols, vals)
+    if term is TermId.SSC:
+        return _product(TermId.CSS, basis, tensors).transpose()
+    return _product(term, basis, tensors)
 
 
 class HermiticityError(AssertionError):

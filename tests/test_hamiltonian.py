@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from composite_bosons.fock import SectorBasis, enumerate_sector
+from composite_bosons.fock import SectorBasis, enumerate_sector, ladder_matrix
 from composite_bosons.hamiltonian import (
     TermId,
     assemble_hamiltonian,
@@ -253,3 +255,79 @@ def test_build_term_rejects_mismatched_spectrum(two_site, random_model):
     basis = enumerate_sector(2, 2, 1)
     with pytest.raises(ValueError, match="modes"):
         build_term(TermId.SS, basis, space, spectrum3)
+
+
+# Each term's normal-ordered operator string, one (species, direction) per
+# tensor axis, and its prefactor.
+_OPERATOR_STRINGS = {
+    TermId.SS: (1.0, (("atom", "create"), ("atom", "annihilate"))),
+    TermId.SSSS: (
+        0.5,
+        (("atom", "create"), ("atom", "create"), ("atom", "annihilate"), ("atom", "annihilate")),
+    ),
+    TermId.CC: (1.0, (("molecule", "create"), ("molecule", "annihilate"))),
+    TermId.CSS: (
+        1.0 / R2,
+        (("molecule", "create"), ("atom", "annihilate"), ("atom", "annihilate")),
+    ),
+    TermId.SSC: (
+        1.0 / R2,
+        (("atom", "create"), ("atom", "create"), ("molecule", "annihilate")),
+    ),
+    TermId.SCSC: (
+        1.0,
+        (
+            ("atom", "create"),
+            ("molecule", "create"),
+            ("molecule", "annihilate"),
+            ("atom", "annihilate"),
+        ),
+    ),
+    TermId.CCCC: (
+        0.5,
+        (
+            ("molecule", "create"),
+            ("molecule", "create"),
+            ("molecule", "annihilate"),
+            ("molecule", "annihilate"),
+        ),
+    ),
+}
+
+
+def _dense_term(term, states, tensor):
+    """pref * sum_idx c[idx] * prod_k ladder_k(idx_k) as dense matrices on ``states``."""
+    pref, string = _OPERATOR_STRINGS[term]
+    ladders = {}
+    out = np.zeros((len(states), len(states)))
+    for idx in np.ndindex(*tensor.shape):
+        if tensor[idx] == 0.0:
+            continue
+        product = np.eye(len(states))
+        for (species, direction), i in zip(string, idx):
+            key = (species, i, direction)
+            if key not in ladders:
+                ladders[key] = ladder_matrix(states, species, i, direction)
+            product = product @ ladders[key]
+        out += tensor[idx] * product
+    return pref * out
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(0, 3))
+def test_terms_match_dense_ladder_products(seed, n):
+    # On the union of sectors 0..n every intermediate state of a
+    # normal-ordered string applied to sector n stays inside, so the
+    # sector-n block of the dense product is the exact term.
+    space = random_mode_space(3, seed, attraction=(40.0, 55.0))
+    spectrum = space.solve_composites(LowestK(2))
+    tensors = coefficient_tensors(space, spectrum)
+    union = [
+        s for k in range(n + 1) for s in enumerate_sector(k, 3, spectrum.n_composites).states
+    ]
+    basis = enumerate_sector(n, 3, spectrum.n_composites)
+    assert union[-basis.dim :] == list(basis.states)
+    for term in TermId:
+        want = _dense_term(term, union, tensors[term])[-basis.dim :, -basis.dim :]
+        got = build_term(term, basis, space, spectrum, tensors).to_dense()
+        assert np.max(np.abs(got - want)) <= 1e-10, term
