@@ -156,6 +156,14 @@ class SectorBasis:
     def position(self, state: OccupationState) -> int | None:
         return self._index.get(state)
 
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """The states as a ``(dim, M + A)`` int64 array, atom counts first."""
+        out = np.array([s.atoms + s.molecules for s in self.states], dtype=np.int64)
+        out = out.reshape(self.dim, self.n_atom_modes + self.n_molecule_modes)
+        out.setflags(write=False)
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.states)

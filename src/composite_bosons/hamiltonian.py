@@ -17,8 +17,9 @@ The bra-ket coefficients of a term form one tensor per model, a closed-form
 contraction of ``O``, ``T4`` and the pair coefficients ``phi[a, p, q]``
 built once by :func:`coefficient_tensors`.  Each term's block is the sparse
 product ``pref * L^T (C (x) I) R``: ``L`` and ``R`` stack the annihilator
-products of the term's bra and ket groups over the basis, and ``C`` is the
-tensor with its bra axes flattened into rows.  This route does not use
+products of the term's bra and ket groups over the basis, built by array
+operations on its occupation array, and ``C`` is the tensor with its bra
+axes flattened into rows.  This route does not use
 :mod:`composite_bosons.algebra`; only the oracle does.
 """
 
@@ -34,7 +35,8 @@ import scipy.sparse as sp
 
 # Unused here, kept importable: perfbench's layer probe reports four algebra metrics by it.
 from .algebra import ElementEngine  # noqa: F401
-from .fock import OccupationState, SectorBasis, Species, apply_ladder
+# Not called here, kept importable: perfbench wraps it to count ladder calls.
+from .fock import SectorBasis, Species, apply_ladder  # noqa: F401
 from .modespace import CompositeSpectrum, ModeSpace
 from .numerics import SparseMatrix
 
@@ -144,61 +146,50 @@ _GROUPS: Mapping[TermId, tuple[tuple[Species, ...], tuple[Species, ...]]] = {
 }
 
 
-def _stack(
-    group: tuple[Species, ...],
-    basis: SectorBasis,
-    images: dict[OccupationState, int],
-) -> tuple[list[int], list[int], list[int], list[float]]:
+def _stack(group: tuple[Species, ...], basis: SectorBasis) -> tuple[np.ndarray, ...]:
     """Every nonzero <image| prod_k a_{i_k} |state> of one group on the basis.
 
-    Returns (group index, image, column, value) lists; the group index
-    flattens (i_1, i_2, ...) row-major.  New images join ``images``, so a
-    bra stack and a ket stack built against one dict share an image index.
+    Returns (group index, image occupations, column, value) arrays, one row
+    per nonzero; the group index flattens (i_1, i_2, ...) row-major.
     """
-    sizes = [basis.n_atom_modes if s == "atom" else basis.n_molecule_modes for s in group]
-    groups: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for j, state in enumerate(basis.states):
-        # (flat index, stride, value, image), annihilating right to left
-        partial = [(0, 1, 1.0, state)]
-        for species, size in zip(reversed(group), reversed(sizes)):
-            lowered = []
-            for g, stride, value, current in partial:
-                counts = current.atoms if species == "atom" else current.molecules
-                for i, n in enumerate(counts):
-                    if n:
-                        coeff, image = apply_ladder(current, species, i, "annihilate")
-                        lowered.append((g + i * stride, stride * size, value * coeff, image))
-            partial = lowered
-        for g, _, value, image in partial:
-            groups.append(g)
-            rows.append(images.setdefault(image, len(images)))
-            cols.append(j)
-            vals.append(value)
-    return groups, rows, cols, vals
+    occ, cols = basis.occupations, np.arange(basis.dim)
+    groups, vals = np.zeros(basis.dim, dtype=np.int64), np.ones(basis.dim)
+    stride = 1
+    for species in reversed(group):  # annihilate right to left
+        atom = species == "atom"
+        offset = 0 if atom else basis.n_atom_modes
+        size = basis.n_atom_modes if atom else basis.n_molecule_modes
+        rows, modes = np.nonzero(occ[:, offset : offset + size])
+        occ = occ[rows]
+        vals = vals[rows] * np.sqrt(occ[np.arange(rows.size), offset + modes])
+        occ[np.arange(rows.size), offset + modes] -= 1
+        groups = groups[rows] + modes * stride
+        cols = cols[rows]
+        stride *= size
+    return groups, occ, cols, vals
 
 
 def _product(term: TermId, basis: SectorBasis, tensors: CoefficientTensors) -> SparseMatrix:
     """``pref * L^T (C (x) I) R`` of one term with a row in ``_GROUPS``."""
     bra_group, ket_group = _GROUPS[term]
-    images: dict[OccupationState, int] = {}
-    left = _stack(bra_group, basis, images)
-    right = left if ket_group == bra_group else _stack(ket_group, basis, images)
-    if not left[3] or not right[3]:
+    stacks = [_stack(g, basis) for g in dict.fromkeys((bra_group, ket_group))]
+    if not all(vals.size for *_, vals in stacks):
         return SparseMatrix.zero(basis.dim)
-    n_img = len(images)
+    # Rank the bra and ket images together: on a union basis they may lie in
+    # several sectors.
+    images = np.concatenate([occ for _, occ, _, _ in stacks])
+    unique, ranks = np.unique(images, axis=0, return_inverse=True)
+    n_img = len(unique)
     c = tensors[term]
     n_bra = math.prod(c.shape[: len(bra_group)])
     coeffs = sp.csr_matrix(TERM_PREFACTOR[term] * c.reshape(n_bra, -1))
-
-    def stacked(groups, rows, cols, vals, size):
-        index = np.asarray(groups) * n_img + np.asarray(rows)
-        return sp.csr_matrix((vals, (index, cols)), shape=(size * n_img, basis.dim))
-
-    l_mat = stacked(*left, n_bra)
-    r_mat = l_mat if right is left else stacked(*right, coeffs.shape[1])
+    mats = [
+        sp.csr_matrix((vals, (index * n_img + rank, cols)), shape=(size * n_img, basis.dim))
+        for (index, _, cols, vals), rank, size in zip(
+            stacks, np.split(ranks.ravel(), [stacks[0][3].size]), coeffs.shape
+        )
+    ]
+    l_mat, r_mat = mats[0], mats[-1]
     block = (l_mat.T @ (sp.kron(coeffs, sp.identity(n_img), format="csr") @ r_mat)).tocoo()
     return SparseMatrix.from_triples(basis.dim, block.row, block.col, block.data)
 
@@ -258,14 +249,14 @@ class SparseHamiltonian:
 
 
 def _worst_asymmetry_entries(mat: SparseMatrix, limit: int = 5) -> str:
-    dense = mat.to_dense()
-    diff = np.abs(dense - dense.T)
-    flat = np.argsort(diff, axis=None)[::-1][:limit]
-    rows, cols = np.unravel_index(flat, diff.shape)
+    """The ``limit`` largest |A - A^T| entries, largest first, ties by (row, col)."""
+    csr = mat.to_csr()
+    diff = (csr - csr.T).tocoo()
+    size = np.abs(diff.data)
+    worst = np.lexsort((diff.col, diff.row, -size))[:limit]
     parts = [
-        f"({r},{c}): {dense[r, c]!r} vs ({c},{r}): {dense[c, r]!r}"
-        for r, c in zip(rows, cols)
-        if diff[r, c] > 0
+        f"({r},{c}): {float(csr[r, c])!r} vs ({c},{r}): {float(csr[c, r])!r}"
+        for r, c in zip(diff.row[worst], diff.col[worst])
     ]
     return "; ".join(parts) if parts else "none"
 
@@ -278,29 +269,27 @@ def assemble_hamiltonian(
 ) -> SparseHamiltonian:
     """Build all seven term blocks and their sum on one sector basis.
 
-    Hermiticity of the sum and the adjoint pairing between the two
-    rearrangement blocks are asserted, not assumed; a failure raises with
-    the offending entries.
+    Hermiticity of the sum and the bitwise adjoint pairing ``CSS == SSC^T``
+    are asserted, not assumed; a Hermiticity failure names the worst entries.
     """
     if tensors is None:
         tensors = coefficient_tensors(space, spectrum)
     terms = {term: build_term(term, basis, space, spectrum, tensors) for term in TermId}
-    total = SparseMatrix.zero(basis.dim)
-    for term in TermId:
-        total = total + terms[term]
+    blocks = [terms[term] for term in TermId]
+    total = SparseMatrix.from_triples(
+        basis.dim,
+        np.concatenate([b.rows for b in blocks]),
+        np.concatenate([b.cols for b in blocks]),
+        np.concatenate([b.vals for b in blocks]),
+    )
     asym = total.max_abs_asymmetry()
     if asym > HERMITICITY_TOL:
         raise HermiticityError(
             f"assembled sector matrix asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.1e}; "
             f"worst entries: {_worst_asymmetry_entries(total)}"
         )
-    pairing = (terms[TermId.CSS] + _negate(terms[TermId.SSC].transpose())).max_abs()
-    if pairing > HERMITICITY_TOL:
-        raise HermiticityError(
-            f"rearrangement blocks are not adjoint: max |CSS - SSC^T| = {pairing:.3e}"
-        )
+    css, ssc_t = terms[TermId.CSS], terms[TermId.SSC].transpose()
+    pairs = ((css.rows, ssc_t.rows), (css.cols, ssc_t.cols), (css.vals, ssc_t.vals))
+    if not all(np.array_equal(x, y) for x, y in pairs):
+        raise HermiticityError("rearrangement blocks are not adjoint: CSS differs from SSC^T")
     return SparseHamiltonian(basis, terms, total)
-
-
-def _negate(mat: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(mat.dim, mat.rows, mat.cols, -mat.vals)

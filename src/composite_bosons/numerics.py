@@ -91,9 +91,10 @@ def dense_symmetric_eigen(mat: Matrix) -> tuple[Matrix, Matrix]:
 class SparseMatrix:
     """Square sparse matrix in canonical coordinate storage.
 
-    Triples are stored row-major (row, then column), duplicates summed and
-    entries with magnitude below the drop tolerance removed, so two equal
-    matrices always carry identical storage.
+    Triples are stored row-major (row, then column) with duplicates summed.
+    An entry below ``DROP_TOL`` in magnitude is removed unless its transpose
+    partner is stored at or above it, so the drop never splits a symmetric
+    pair.  Two equal matrices always carry identical storage.
     """
 
     dim: int
@@ -102,13 +103,7 @@ class SparseMatrix:
     vals: NDArray[np.float64]
 
     @staticmethod
-    def from_triples(
-        dim: int,
-        rows,
-        cols,
-        vals,
-        drop_tol: float = DROP_TOL,
-    ) -> "SparseMatrix":
+    def from_triples(dim: int, rows, cols, vals) -> "SparseMatrix":
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
         vals = np.array(vals, dtype=float)
@@ -126,7 +121,12 @@ class SparseMatrix:
             rows = (uniq // dim).astype(np.int64)
             cols = (uniq % dim).astype(np.int64)
             vals = summed
-            keep = np.abs(vals) >= drop_tol
+            keep = np.abs(vals) >= DROP_TOL
+            # a small entry stays when its transpose partner is stored and kept
+            small = np.flatnonzero(~keep)
+            mirror = cols[small] * dim + rows[small]
+            at = np.minimum(np.searchsorted(uniq, mirror), uniq.size - 1)
+            keep[small] = (uniq[at] == mirror) & keep[at]
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
         for arr in (rows, cols, vals):
             arr.setflags(write=False)
@@ -153,21 +153,12 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix.from_triples(self.dim, self.cols, self.rows, self.vals)
 
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in sparse addition")
-        return SparseMatrix.from_triples(
-            self.dim,
-            np.concatenate([self.rows, other.rows]),
-            np.concatenate([self.cols, other.cols]),
-            np.concatenate([self.vals, other.vals]),
-        )
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
 
     def max_abs_asymmetry(self) -> float:
-        diff = self.to_csr() - self.to_csr().T
+        csr = self.to_csr()
+        diff = csr - csr.T
         return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
 
     def to_coordinate_csv(self) -> str:

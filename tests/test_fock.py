@@ -155,6 +155,15 @@ def test_union_basis():
     assert u.position(b3.states[0]) == b2.dim
 
 
+def test_occupations_rows_are_states():
+    for basis in (enumerate_sector(2, 2, 1), enumerate_sector(0, 3, 0)):
+        occ = basis.occupations
+        assert occ.dtype == np.int64
+        assert occ.shape == (basis.dim, basis.n_atom_modes + basis.n_molecule_modes)
+        want = [s.atoms + s.molecules for s in basis.states]
+        assert [tuple(row) for row in occ.tolist()] == want
+
+
 def test_duplicate_states_rejected():
     s = OccupationState((1,), (0,))
     with pytest.raises(ValueError, match="duplicate"):

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composite_bosons import hamiltonian
 from composite_bosons.fock import SectorBasis, enumerate_sector, ladder_matrix
 from composite_bosons.hamiltonian import (
+    HERMITICITY_TOL,
+    HermiticityError,
     TermId,
     assemble_hamiltonian,
     build_term,
     coefficient_tensors,
 )
-from composite_bosons.modespace import LowestK, mode_space
+from composite_bosons.modespace import BelowEdge, LowestK, mode_space
 from composite_bosons.models import build_ring_model, random_mode_space
+from composite_bosons.numerics import SparseMatrix
 
 R2 = math.sqrt(2.0)
 
@@ -233,6 +237,73 @@ def test_constituent_number_conservation(random_model):
         cross2 = block[b2.dim :, : b2.dim]
         assert np.all(cross == 0.0)
         assert np.all(cross2 == 0.0)
+
+
+def test_union_basis_terms_are_direct_sums(random_model):
+    # images of a union basis span two sectors; each term must still be the
+    # direct sum of its per-sector blocks, bit for bit
+    space, spectrum = random_model
+    tensors = coefficient_tensors(space, spectrum)
+    b2 = enumerate_sector(2, space.n_modes, spectrum.n_composites)
+    b3 = enumerate_sector(3, space.n_modes, spectrum.n_composites)
+    union = SectorBasis.union(b2, b3)
+    assert [tuple(r) for r in union.occupations.tolist()] == [
+        s.atoms + s.molecules for s in union.states
+    ]
+    for term in TermId:
+        got = build_term(term, union, space, spectrum, tensors)
+        low = build_term(term, b2, space, spectrum, tensors)
+        high = build_term(term, b3, space, spectrum, tensors)
+        assert np.array_equal(got.rows, np.concatenate([low.rows, high.rows + b2.dim])), term
+        assert np.array_equal(got.cols, np.concatenate([low.cols, high.cols + b2.dim])), term
+        assert np.array_equal(got.vals, np.concatenate([low.vals, high.vals])), term
+
+
+def test_ring6_n6_sector_assembles():
+    # dim 1715: SCSC carries -1.0019e-12 at (1270, 1386) and a transpose
+    # partner just below the drop tolerance, which must not be dropped alone
+    space = build_ring_model(6, 1.0, -20.0)
+    spectrum = space.solve_composites(BelowEdge())
+    basis = enumerate_sector(6, space.n_modes, spectrum.n_composites)
+    ham = assemble_hamiltonian(basis, space, spectrum)
+    assert basis.dim == 1715
+    assert ham.total.max_abs_asymmetry() <= HERMITICITY_TOL
+    for term in TermId:
+        block = ham.term(term).to_csr()
+        if term not in (TermId.CSS, TermId.SSC):
+            assert abs(block - block.T).max() <= HERMITICITY_TOL, term
+
+
+def test_asymmetry_report_stays_sparse(random_model, monkeypatch):
+    # the failure message is taken from the sparse A - A^T and names the
+    # same entries as a dense reference: largest |A - A^T| first, ties in
+    # row-major order
+    space, spectrum = random_model
+    basis = enumerate_sector(3, space.n_modes, spectrum.n_composites)
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((basis.dim, basis.dim))
+    dense[rng.random(dense.shape) < 0.5] = 0.0
+    rows, cols = np.nonzero(dense)
+    skewed = SparseMatrix.from_triples(basis.dim, rows, cols, dense[rows, cols])
+    empty = SparseMatrix.zero(basis.dim)
+
+    def fake_build_term(term, *args):
+        return skewed if term is TermId.SS else empty
+
+    def no_dense(self):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(hamiltonian, "build_term", fake_build_term)
+    monkeypatch.setattr(SparseMatrix, "to_dense", no_dense)
+    with pytest.raises(HermiticityError) as err:
+        assemble_hamiltonian(basis, space, spectrum)
+    diff = np.abs(dense - dense.T)
+    worst = np.argsort(-diff, axis=None, kind="stable")[:5]
+    want = "; ".join(
+        f"({r},{c}): {float(dense[r, c])!r} vs ({c},{r}): {float(dense[c, r])!r}"
+        for r, c in zip(*np.unravel_index(worst, diff.shape))
+    )
+    assert str(err.value).endswith(f"worst entries: {want}")
 
 
 def test_interaction_linearity(random_model):

@@ -125,6 +125,21 @@ def test_sparse_drop_tolerance():
     assert m.to_dense()[1, 1] == 1.0
 
 
+def test_sparse_drop_keeps_straddling_pair():
+    # one partner above the drop tolerance keeps the other, so the stored
+    # matrix stays as symmetric as its input
+    m = SparseMatrix.from_triples(2, [0, 1], [1, 0], [1.0000001e-12, 0.9999999e-12])
+    assert m.nnz == 2
+    assert m.vals.tolist() == [1.0000001e-12, 0.9999999e-12]
+
+
+def test_sparse_drop_removes_small_pairs_and_lone_entries():
+    lone = SparseMatrix.from_triples(3, [0, 2], [1, 2], [0.5e-12, 1.0])
+    assert (lone.rows.tolist(), lone.cols.tolist()) == ([2], [2])
+    both = SparseMatrix.from_triples(2, [0, 1], [1, 0], [0.9e-12, -0.8e-12])
+    assert both.nnz == 0
+
+
 def test_sparse_rejects_asymmetric():
     m = SparseMatrix.from_triples(2, [0], [1], [1.0])
     with pytest.raises(NonSymmetricError):
