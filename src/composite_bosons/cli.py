@@ -8,6 +8,8 @@ digits so identical runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,7 +27,7 @@ from .hamiltonian import (
 )
 from .modespace import CompositeSpectrum, ModeSpace
 from .models import ConfigError, ModelConfig, build_mode_space, load_config
-from .numerics import EigenConvergenceError, sparse_lowest_eigen
+from .numerics import EigenConvergenceError, NonSymmetricError, sparse_lowest_eigen
 from .oracle import EXPANSION_GUARD, verify_sectors
 
 EXIT_OK = 0
@@ -43,20 +45,24 @@ class OutputError(RuntimeError):
 
 
 def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite number {x!r} in report")
     return f"{x:.17g}"
 
 
 def dump_json(obj, indent: int = 0) -> str:
     """Minimal JSON writer with stable key order and 17-digit floats."""
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f'{inner}{dump_json(str(k))}: {dump_json(v, indent + 1)}' for k, v in obj.items()
+            f'{inner}{json.dumps(str(k))}: {dump_json(v, indent + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}" + "}"
     if isinstance(obj, (list, tuple)):
@@ -70,12 +76,6 @@ def dump_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -180,15 +180,22 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
         "composite_spectrum": _spectrum_doc(spectrum),
         "sectors": sectors,
     }
+    status = EXIT_OK
     if verify_max_n is not None:
         _check_max_n(verify_max_n)
         verification = verify_sectors(
             space, spectrum, range(verify_max_n + 1), include_rows=False
         )
         report["verification"] = verification["summary"]
+        status = _verify_status(verification["summary"])
     write_report(report, sector_eigs, hams if "csv" in config.output.formats else None, out_dir)
     sys.stderr.write(f"spectrum finished in {time.perf_counter() - started:.3f}s\n")
-    return EXIT_OK
+    return status
+
+
+def _verify_status(summary: dict) -> int:
+    """Exit 3 when any checked element differs from the oracle beyond 1e-10."""
+    return EXIT_OK if summary["max_abs_diff"] <= VERIFY_TOL else EXIT_VERIFY
 
 
 def _check_max_n(max_n: int) -> None:
@@ -233,7 +240,7 @@ def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
     )
     if out_dir is None:
         sys.stdout.write(text)
-    return EXIT_OK if summary["max_abs_diff"] <= VERIFY_TOL else EXIT_VERIFY
+    return _verify_status(summary)
 
 
 def _cmd_export_matrix(config: ModelConfig, out_dir: Path) -> int:
@@ -304,7 +311,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, OutputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (EigenConvergenceError, FloatingPointError, HermiticityError) as exc:
+    except (
+        EigenConvergenceError,
+        FloatingPointError,
+        HermiticityError,
+        NonSymmetricError,
+    ) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

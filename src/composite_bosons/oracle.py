@@ -6,6 +6,17 @@ with classification projectors selecting the partition structure of the ket
 and re-emitting the target structure with exactly contracted amplitudes.
 Matrix elements computed this way never touch ladder operators, so they
 cross-check the second-quantized construction term by term.
+
+:func:`oracle_matrix_element` applies a term to every labeled product of the
+ket's expansion.  :func:`verify_sectors` applies it to one labeled
+representative per ket instead.  Each projected term sums over all label
+choices, so it commutes with relabeling, and every bra expansion is a
+symmetric sum; hence <B|H|p> is the same for every labeled product p of the
+ket K, and <B|H|K> = (sum of K's expansion weights) * <B|H|k0>, the weight
+sum being N! times K's normalization constant.  The applied products are
+then read into columns through one sector-wide index from each labeled
+product's key to its bra: a labeled product fixes its occupation, so the
+bra expansions of a sector have disjoint keys.
 """
 
 from __future__ import annotations
@@ -283,6 +294,13 @@ def verify_sectors(
 ) -> dict:
     """Compare every term matrix element on full sectors against the oracle.
 
+    Each term is applied to one labeled representative per ket: the first
+    product of its expansion, weighted by the sum of the expansion's weights
+    (N! times the normalization constant).  This is exact because the
+    projected terms commute with relabeling and the bra expansions are
+    symmetric.  Column j is read in one pass over the applied products
+    through the sector's key index, ``sort_key -> (bra index, bra weight)``.
+
     Returns a report dict with one row per (term, bra, ket) and a summary;
     structure is stable for JSON serialization.
     """
@@ -293,16 +311,28 @@ def verify_sectors(
     checked = 0
     for n in sector_numbers:
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
+        names = [str(s) for s in basis.states]
         expansions = [expand_basis_state(s) for s in basis.states]
+        representatives = [
+            FormalState(
+                (FormalProduct(sum(p.weight for p in e.products), e.products[0].factors),)
+            )
+            for e in expansions
+        ]
+        index: dict[tuple, tuple[int, float]] = {}
+        for i, expansion in enumerate(expansions):
+            for p in expansion.products:
+                assert p.sort_key not in index, "labeled product shared by two states"
+                index[p.sort_key] = (i, p.weight)
         for term in terms:
             block = build_term(term, basis, space, spectrum, tensors).to_dense()
-            for j, ket in enumerate(basis.states):
-                applied = apply_projected_term(term, expansions[j], space, spectrum, eng)
-                for i, bra in enumerate(basis.states):
-                    if applied.is_empty:
-                        oracle_value = 0.0
-                    else:
-                        oracle_value = formal_inner_product(expansions[i], applied)
+            for j, rep in enumerate(representatives):
+                applied = apply_projected_term(term, rep, space, spectrum, eng)
+                column = [0.0] * basis.dim
+                for p in applied.products:
+                    i, weight = index[p.sort_key]
+                    column[i] += weight * p.weight
+                for i, oracle_value in enumerate(column):
                     sq_value = float(block[i, j])
                     diff = abs(sq_value - oracle_value)
                     max_diff = max(max_diff, diff)
@@ -312,8 +342,8 @@ def verify_sectors(
                             {
                                 "term": term.value,
                                 "sector": n,
-                                "bra": str(bra),
-                                "ket": str(ket),
+                                "bra": names[i],
+                                "ket": names[j],
                                 "sq_value": sq_value,
                                 "oracle_value": oracle_value,
                                 "abs_diff": diff,

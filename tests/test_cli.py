@@ -130,6 +130,41 @@ def test_hermiticity_error_exit_code(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_non_symmetric_error_exit_code(tmp_path, monkeypatch, capsys):
+    from composite_bosons.numerics import NonSymmetricError
+
+    cfg = write_config(tmp_path, TWO_SITE)
+
+    def fake_eigen(*args, **kwargs):
+        raise NonSymmetricError("matrix is not symmetric: max |A - A^T| = 1.000e-06")
+
+    monkeypatch.setattr(cli, "sparse_lowest_eigen", fake_eigen)
+    rc = cli.main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: matrix is not symmetric")
+    assert err.count("\n") == 1
+
+
+def test_spectrum_exit_code_on_verification_failure(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, TWO_SITE)
+    out = tmp_path / "o"
+
+    def fake_verify(space, spectrum, sectors, include_rows=True):
+        return {
+            "schema_version": 1,
+            "conventions": {},
+            "checks": [],
+            "summary": {"max_abs_diff": 1e-6, "pairs_checked": 1},
+        }
+
+    monkeypatch.setattr(cli, "verify_sectors", fake_verify)
+    rc = cli.main(["spectrum", "--config", cfg, "--out-dir", str(out), "--max-n", "2"])
+    assert rc == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["verification"] == {"max_abs_diff": 1e-6, "pairs_checked": 1}
+
+
 def test_verify_max_n_guard(tmp_path):
     cfg = write_config(tmp_path, TWO_SITE)
     rc = cli.main(["verify", "--config", cfg, "--max-n", "7"])

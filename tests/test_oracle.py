@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from composite_bosons.algebra import Atom, Pair, formal_inner_product
+from composite_bosons import oracle
+from composite_bosons.algebra import Atom, ElementEngine, Pair, formal_inner_product
 from composite_bosons.fock import OccupationState, enumerate_sector
 from composite_bosons.hamiltonian import TermId, assemble_hamiltonian
 from composite_bosons.modespace import LowestK
@@ -176,3 +177,41 @@ def test_n5_spot_check(two_site):
     got = oracle_matrix_element(TermId.CSS, bra, ket, space, spectrum)
     assert got == pytest.approx(block[i, j], abs=1e-10)
     assert abs(got) > 1e-8  # the element is genuinely nonzero
+
+
+@pytest.mark.parametrize("model", ["two_site", "random_model"])
+def test_verify_sectors_matches_full_expansion(model, request):
+    # the sweep applies each term to one labeled representative per ket; the
+    # full-orbit application of oracle_matrix_element is the reference
+    space, spectrum = request.getfixturevalue(model)
+    report = verify_sectors(space, spectrum, range(0, 4))
+    swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
+    engine = ElementEngine(space, spectrum)
+    compared = 0
+    for n in range(0, 4):
+        states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
+        for term in TermId:
+            for ket in states:
+                for bra in states:
+                    want = oracle_matrix_element(term, bra, ket, space, spectrum, engine)
+                    got = swept[(term.value, str(bra), str(ket))]
+                    assert got == pytest.approx(want, abs=1e-12), (term, bra, ket)
+                    compared += 1
+    assert compared == report["summary"]["pairs_checked"] == len(swept)
+
+
+def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch):
+    # dropping one rearranged structure of the SCSC exchange string must show,
+    # even though the sweep applies each term to one representative product
+    space, spectrum = random_model
+    intact = oracle._term_blueprints
+
+    def broken(term, labels):
+        for right, ops, lefts in intact(term, labels):
+            if term is TermId.SCSC and len(lefts) == 2:
+                lefts = lefts[:1]
+            yield right, ops, lefts
+
+    monkeypatch.setattr(oracle, "_term_blueprints", broken)
+    report = verify_sectors(space, spectrum, range(0, 4), terms=(TermId.SCSC,), include_rows=False)
+    assert report["summary"]["max_abs_diff"] > 1e-10
