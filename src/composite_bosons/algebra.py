@@ -284,8 +284,13 @@ class ElementEngine:
     """Caches exact matrix elements between small formal fragments.
 
     Each distinct (bra structure, operator list, ket structure) is contracted
-    once; bra/ket orientation is canonicalized first, which both saves work
-    and makes adjoint blocks come out bitwise transposed.
+    once up to label names.  Bra/ket orientation is canonicalized first; the
+    cache key then renumbers the labels of the bra, ket and operators 0, 1,
+    ... in increasing order.  That renumbering keeps the order of the labels,
+    hence the factor order and every einsum subscript string, so a cache hit
+    returns bitwise the value a fresh contraction would give.  It is also
+    one-to-one on the labels, so a call whose bra and ket (or operator) labels
+    differ never shares a key with a valid one and still raises.
     """
 
     def __init__(self, space: ModeSpace, spectrum: CompositeSpectrum):
@@ -303,7 +308,7 @@ class ElementEngine:
         if kkey < bkey:
             bra, ket = ket, bra
             bkey, kkey = kkey, bkey
-        key = (bkey, tuple(ops), kkey)
+        key = _renumbered_key(bkey, ops, kkey)
         value = self._cache.get(key)
         if value is None:
             value = labeled_matrix_element(
@@ -315,3 +320,16 @@ class ElementEngine:
             )
             self._cache[key] = value
         return bra.weight * ket.weight * value
+
+
+def _renumbered_key(bkey: tuple, ops: Sequence[Operator], kkey: tuple) -> tuple:
+    """(bra sort key, operator labels, ket sort key) with the union of their
+    labels renumbered 0, 1, ... in increasing order."""
+    op_labels = [_op_labels(op) for op in ops]
+    labels = set().union(*op_labels, *(f[1] for f in bkey), *(f[1] for f in kkey))
+    rank = {lab: r for r, lab in enumerate(sorted(labels))}.__getitem__
+
+    def renumber(key: tuple) -> tuple:
+        return tuple((kind, tuple(map(rank, labs)), tag) for kind, labs, tag in key)
+
+    return renumber(bkey), tuple(tuple(map(rank, labs)) for labs in op_labels), renumber(kkey)

@@ -8,10 +8,10 @@ digits so identical runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Sequence
 
@@ -51,9 +51,13 @@ def _format_float(x: float) -> str:
 
 
 def dump_json(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with stable key order and 17-digit floats."""
+    """Minimal JSON writer with stable key order and 17-digit floats.
+
+    Strings are quoted by the function ``json.dumps`` itself uses for them
+    (ASCII-escaped), without its per-call encoder set-up.
+    """
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     pad = "  " * indent
@@ -62,7 +66,7 @@ def dump_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         parts = [
-            f'{inner}{json.dumps(str(k))}: {dump_json(v, indent + 1)}' for k, v in obj.items()
+            f'{inner}{_quote(str(k))}: {dump_json(v, indent + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}" + "}"
     if isinstance(obj, (list, tuple)):
@@ -154,6 +158,8 @@ def _sector_csv(n: int, eigenvalues: Sequence[float]) -> str:
 
 def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) -> int:
     started = time.perf_counter()
+    if verify_max_n is not None:
+        _check_max_n(verify_max_n)
     space, spectrum = _solve(config)
     tensors = coefficient_tensors(space, spectrum)
     sectors = []
@@ -182,7 +188,6 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
     }
     status = EXIT_OK
     if verify_max_n is not None:
-        _check_max_n(verify_max_n)
         verification = verify_sectors(
             space, spectrum, range(verify_max_n + 1), include_rows=False
         )

@@ -8,15 +8,21 @@ Matrix elements computed this way never touch ladder operators, so they
 cross-check the second-quantized construction term by term.
 
 :func:`oracle_matrix_element` applies a term to every labeled product of the
-ket's expansion.  :func:`verify_sectors` applies it to one labeled
-representative per ket instead.  Each projected term sums over all label
-choices, so it commutes with relabeling, and every bra expansion is a
-symmetric sum; hence <B|H|p> is the same for every labeled product p of the
-ket K, and <B|H|K> = (sum of K's expansion weights) * <B|H|k0>, the weight
-sum being N! times K's normalization constant.  The applied products are
-then read into columns through one sector-wide index from each labeled
-product's key to its bra: a labeled product fixes its occupation, so the
-bra expansions of a sector have disjoint keys.
+ket's expansion and takes the ideal inner product with the bra's expansion;
+it is the brute-force reference.  :func:`verify_sectors` uses two closed
+forms of those expansions instead:
+
+* Each projected term sums over all label choices, so it commutes with
+  relabeling, and every bra expansion is a symmetric sum; hence <B|H|p> is
+  the same for every labeled product p of the ket K.  The sweep applies each
+  term to one representative, the identity-permutation product (atoms take
+  labels 1.. in mode order, then each pair two consecutive labels), weighted
+  by the sum of K's expansion weights, N! times its normalization constant.
+* A labeled product fixes its occupation (atoms per mode, pairs per
+  composite), so an applied product is read into its bra through the
+  occupation alone.  In the expansion of bra B it carries the weight
+  w_B = c_B * prod(n_m!) * prod(k_a! 2^k_a), c_B the normalization constant:
+  the count of label permutations that fix one labeled product.
 """
 
 from __future__ import annotations
@@ -88,6 +94,52 @@ def expand_basis_state(state: OccupationState) -> FormalState:
             pos += 2
         products.append(FormalProduct(weight, tuple(factors)))
     return FormalState.collect(products)
+
+
+def representative_product(state: OccupationState) -> FormalProduct:
+    """The identity-permutation product of ``state``'s expansion, carrying its
+    total weight N! times the normalization constant.
+
+    Atoms take labels 1.. in mode order, then each pair two consecutive labels.
+    """
+    factors: list[FormalFactor] = []
+    label = 1
+    for mode, count in enumerate(state.atoms):
+        for _ in range(count):
+            factors.append(Atom(mode, label))
+            label += 1
+    for comp, count in enumerate(state.molecules):
+        for _ in range(count):
+            factors.append(Pair(comp, (label, label + 1)))
+            label += 2
+    weight = math.factorial(state.constituents) * normalization_constant(state)
+    return FormalProduct(weight, tuple(factors))
+
+
+def labeled_product_weight(state: OccupationState) -> float:
+    """Weight of each labeled product in ``state``'s expansion: the
+    normalization constant times prod(n_m!) * prod(k_a! 2^k_a), the number of
+    label permutations that leave one labeled product unchanged."""
+    fixing = 1
+    for count in state.atoms:
+        fixing *= math.factorial(count)
+    for count in state.molecules:
+        fixing *= math.factorial(count) * 2**count
+    return normalization_constant(state) * fixing
+
+
+def _occupation(
+    prod: FormalProduct, n_modes: int, n_composites: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(atoms per mode, pairs per composite) of a labeled product."""
+    atoms = [0] * n_modes
+    molecules = [0] * n_composites
+    for f in prod.factors:
+        if isinstance(f, Atom):
+            atoms[f.mode] += 1
+        else:
+            molecules[f.index] += 1
+    return tuple(atoms), tuple(molecules)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +346,14 @@ def verify_sectors(
 ) -> dict:
     """Compare every term matrix element on full sectors against the oracle.
 
-    Each term is applied to one labeled representative per ket: the first
-    product of its expansion, weighted by the sum of the expansion's weights
-    (N! times the normalization constant).  This is exact because the
+    Each term is applied to one labeled representative per ket, the
+    identity-permutation product weighted by N! times the normalization
+    constant (the sum of the expansion's weights).  This is exact because the
     projected terms commute with relabeling and the bra expansions are
-    symmetric.  Column j is read in one pass over the applied products
-    through the sector's key index, ``sort_key -> (bra index, bra weight)``.
+    symmetric.  Column j is read in one pass over the applied products: each
+    product's occupation indexes ``(atoms, molecules) -> (bra index, w_i)``,
+    w_i being the weight of any one labeled product in bra i's expansion.
+    No expansion is built.
 
     Returns a report dict with one row per (term, bra, ket) and a summary;
     structure is stable for JSON serialization.
@@ -312,25 +366,20 @@ def verify_sectors(
     for n in sector_numbers:
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
         names = [str(s) for s in basis.states]
-        expansions = [expand_basis_state(s) for s in basis.states]
         representatives = [
-            FormalState(
-                (FormalProduct(sum(p.weight for p in e.products), e.products[0].factors),)
-            )
-            for e in expansions
+            FormalState((representative_product(s),)) for s in basis.states
         ]
-        index: dict[tuple, tuple[int, float]] = {}
-        for i, expansion in enumerate(expansions):
-            for p in expansion.products:
-                assert p.sort_key not in index, "labeled product shared by two states"
-                index[p.sort_key] = (i, p.weight)
+        index = {
+            (s.atoms, s.molecules): (i, labeled_product_weight(s))
+            for i, s in enumerate(basis.states)
+        }
         for term in terms:
             block = build_term(term, basis, space, spectrum, tensors).to_dense()
             for j, rep in enumerate(representatives):
                 applied = apply_projected_term(term, rep, space, spectrum, eng)
                 column = [0.0] * basis.dim
                 for p in applied.products:
-                    i, weight = index[p.sort_key]
+                    i, weight = index[_occupation(p, space.n_modes, spectrum.n_composites)]
                     column[i] += weight * p.weight
                 for i, oracle_value in enumerate(column):
                     sq_value = float(block[i, j])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composite_bosons.algebra import (
     Atom,
@@ -13,7 +15,8 @@ from composite_bosons.algebra import (
     labeled_matrix_element,
     pair_interaction_ops,
 )
-from composite_bosons.modespace import BelowEdge, mode_space
+from composite_bosons.modespace import BelowEdge, LowestK, mode_space
+from composite_bosons.models import random_mode_space
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +238,89 @@ def test_pair_label_normalization():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError, match="twice"):
         FormalProduct(1.0, (Atom(0, 1), Atom(1, 1)))
+
+
+RANDOM_SPACE = random_mode_space(3, 20240, attraction=(40.0, 55.0))
+RANDOM_SPECTRUM = RANDOM_SPACE.solve_composites(LowestK(2))
+
+
+@st.composite
+def fragments(draw):
+    """(bra, ops, ket) over labels 1..n with random partition structures."""
+    n = draw(st.integers(1, 4))
+    composites = st.integers(0, RANDOM_SPECTRUM.n_composites - 1)
+    modes = st.integers(0, RANDOM_SPACE.n_modes - 1)
+
+    def product():
+        order = draw(st.permutations(range(1, n + 1)))
+        k = draw(st.integers(0, n // 2))
+        factors = [Pair(draw(composites), (order[2 * i], order[2 * i + 1])) for i in range(k)]
+        factors += [Atom(draw(modes), lab) for lab in order[2 * k:]]
+        weight = draw(st.floats(-2.0, 2.0, allow_nan=False))
+        return FormalProduct(weight, tuple(factors))
+
+    labels = st.integers(1, n)
+    one = st.builds(OneBody, labels)
+    two = st.lists(labels, min_size=2, max_size=2, unique=True).map(lambda ab: TwoBody(*ab))
+    ops = tuple(draw(st.lists(one | two if n > 1 else one, min_size=1, max_size=3)))
+    return product(), ops, product()
+
+
+def relabeled(mapping, bra, ops, ket):
+    def move(p):
+        factors = tuple(
+            Atom(f.mode, mapping[f.label]) if isinstance(f, Atom)
+            else Pair(f.index, tuple(mapping[lab] for lab in f.labels))
+            for f in p.factors
+        )
+        return FormalProduct(p.weight, factors)
+
+    moved_ops = tuple(
+        OneBody(mapping[op.label]) if isinstance(op, OneBody)
+        else TwoBody(mapping[op.a], mapping[op.b])
+        for op in ops
+    )
+    return move(bra), moved_ops, move(ket)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    fragment=fragments(),
+    targets=st.lists(
+        st.lists(st.integers(1, 40), min_size=4, max_size=4, unique=True), min_size=1, max_size=4
+    ),
+)
+def test_engine_cache_hit_is_bitwise_contraction_up_to_label_order(fragment, targets):
+    # the cache key renumbers labels in order, so every order-preserving
+    # relabeling of one fragment shares one entry and returns the bitwise
+    # value of a fresh, uncached contraction in the engine's orientation
+    eng = ElementEngine(RANDOM_SPACE, RANDOM_SPECTRUM)
+    for target in [[1, 2, 3, 4]] + targets:
+        mapping = dict(zip(range(1, 5), sorted(target)))
+        bra, ops, ket = relabeled(mapping, *fragment)
+        lo, hi = (ket, bra) if ket.sort_key < bra.sort_key else (bra, ket)
+        want = labeled_matrix_element(lo, ops, hi, RANDOM_SPACE, RANDOM_SPECTRUM)
+        assert eng.element(bra, ops, ket) == want
+    assert len(eng._cache) == 1
+
+
+def test_engine_rejects_label_mismatch_after_structural_twin_is_cached():
+    eng = ElementEngine(RANDOM_SPACE, RANDOM_SPECTRUM)
+    ops = (TwoBody(1, 2),)
+    eng.element(
+        FormalProduct(1.0, (Atom(0, 1), Atom(1, 2))), ops, FormalProduct(1.0, (Pair(0, (1, 2)),))
+    )
+    assert len(eng._cache) == 1
+    with pytest.raises(ValueError, match="label sets differ"):
+        eng.element(
+            FormalProduct(1.0, (Atom(0, 5), Atom(1, 6))),
+            (TwoBody(5, 6),),
+            FormalProduct(1.0, (Pair(0, (6, 7)),)),
+        )
+    with pytest.raises(ValueError, match="label sets differ"):
+        eng.element(
+            FormalProduct(1.0, (Atom(0, 1), Atom(1, 2))),
+            ops,
+            FormalProduct(1.0, (Pair(0, (1, 3)),)),
+        )
+    assert len(eng._cache) == 1

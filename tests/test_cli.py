@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from composite_bosons import cli
+from composite_bosons.models import random_mode_space
 
 
 TWO_SITE = {
@@ -171,6 +173,42 @@ def test_verify_max_n_guard(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("max_n", ["7", "-1"])
+def test_spectrum_refuses_max_n_before_assembly(tmp_path, monkeypatch, max_n):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("assembled before --max-n was checked")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    cfg = write_config(tmp_path, TWO_SITE)
+    out = str(tmp_path / "o")
+    rc = cli.main(["spectrum", "--config", cfg, "--out-dir", out, "--max-n", max_n])
+    assert rc == 1
+    assert calls == []
+
+
+def test_verify_deterministic(tmp_path):
+    space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
+    doc = {
+        "model": {
+            "type": "explicit",
+            "O": space.one_body.mat.tolist(),
+            "T4": np.asarray(space.two_body.t4).ravel().tolist(),
+        },
+        "bound": {"policy": "lowest_k", "k": 2},
+    }
+    cfg = write_config(tmp_path, doc)
+    texts = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", "4"]) == 0
+        texts.append((out / "verification.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert len(json.loads(texts[0])["checks"]) == 8610
+
+
 def test_export_matrix(tmp_path):
     out = tmp_path / "mats"
     cfg = write_config(tmp_path, TWO_SITE)
@@ -193,6 +231,14 @@ def test_dump_json_seventeen_digits():
     parsed = json.loads(text)
     assert parsed["x"] == 1.0 / 3.0  # round-trip exact
     assert "0.33333333333333331" in text
+
+
+def test_dump_json_quotes_strings_like_json_dumps():
+    strings = ["|1,0 ; 2⟩", 'say "hi"', "back\\slash", "tab\tnew\nline", "", "é\u2028"]
+    doc = {s: [s, {"k": s}] for s in strings}
+    # with no floats, the writer's layout is json.dumps(indent=2) exactly
+    assert cli.dump_json(doc) == json.dumps(doc, indent=2)
+    assert cli.dump_json("⟩\"\\") == json.dumps("⟩\"\\") == '"\\u27e9\\"\\\\"'
 
 
 def test_dump_json_rejects_non_finite():

@@ -4,14 +4,16 @@ import pytest
 
 from composite_bosons import oracle
 from composite_bosons.algebra import Atom, ElementEngine, Pair, formal_inner_product
-from composite_bosons.fock import OccupationState, enumerate_sector
+from composite_bosons.fock import OccupationState, enumerate_sector, normalization_constant
 from composite_bosons.hamiltonian import TermId, assemble_hamiltonian
 from composite_bosons.modespace import LowestK
 from composite_bosons.models import build_ring_model, random_mode_space
 from composite_bosons.oracle import (
     apply_projected_term,
     expand_basis_state,
+    labeled_product_weight,
     oracle_matrix_element,
+    representative_product,
     verify_sectors,
 )
 
@@ -215,3 +217,29 @@ def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch)
     monkeypatch.setattr(oracle, "_term_blueprints", broken)
     report = verify_sectors(space, spectrum, range(0, 4), terms=(TermId.SCSC,), include_rows=False)
     assert report["summary"]["max_abs_diff"] > 1e-10
+
+
+def test_closed_forms_match_expansion(random_model):
+    # the sweep reads each ket's representative and each bra's weight from the
+    # occupation; the expansion is the reference.  Its weights are sums of up
+    # to N! copies of the normalization constant, so they carry a few ulps of
+    # summation roundoff (14.5 ulps at most here), hence rel=1e-14
+    space, spectrum = random_model
+    for n in range(0, 7):
+        for state in enumerate_sector(n, space.n_modes, spectrum.n_composites).states:
+            products = expand_basis_state(state).products
+            rep = representative_product(state)
+            assert rep.factors == products[0].factors, state
+            weight = labeled_product_weight(state)
+            for p in products:
+                assert p.weight == pytest.approx(weight, rel=1e-14, abs=0.0), state
+            total = math.factorial(n) * normalization_constant(state)
+            assert rep.weight == total
+            assert sum(p.weight for p in products) == pytest.approx(total, rel=1e-14, abs=0.0)
+
+
+def test_verify_sectors_full_sweep_n6(random_model):
+    space, spectrum = random_model
+    report = verify_sectors(space, spectrum, [6], include_rows=False)
+    assert report["summary"]["pairs_checked"] == 7 * 80**2 == 44_800
+    assert report["summary"]["max_abs_diff"] <= 1e-10
