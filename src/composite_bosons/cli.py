@@ -83,6 +83,40 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _check_row(row: dict) -> str:
+    """One row of ``checks`` in the layout :func:`dump_json` gives it."""
+    return (
+        f'    {{\n      "term": {_quote(row["term"])},\n'
+        f'      "sector": {row["sector"]:d},\n'
+        f'      "bra": {_quote(row["bra"])},\n'
+        f'      "ket": {_quote(row["ket"])},\n'
+        f'      "sq_value": {_format_float(row["sq_value"])},\n'
+        f'      "oracle_value": {_format_float(row["oracle_value"])},\n'
+        f'      "abs_diff": {_format_float(row["abs_diff"])}\n    }}'
+    )
+
+
+def verification_text(report: dict) -> str:
+    """``dump_json(report)`` and a newline, for a :func:`verify_sectors` report.
+
+    The check rows have a fixed seven-field layout and are formatted by
+    :func:`_check_row`; the other members go through :func:`dump_json`.  The
+    pieces are joined once, so the text is not copied again.
+    """
+    pieces = ["{"]
+    for n, (key, value) in enumerate(report.items()):
+        pieces.append(f"{',' if n else ''}\n  {_quote(key)}: ")
+        if key == "checks" and value:
+            for m, row in enumerate(value):
+                pieces.append(",\n" if m else "[\n")
+                pieces.append(_check_row(row))
+            pieces.append("\n  ]")
+        else:
+            pieces.append(dump_json(value, 1))
+    pieces.append("\n}\n")
+    return "".join(pieces)
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -235,7 +269,7 @@ def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
     _check_max_n(max_n)
     space, spectrum = _solve(config)
     report = verify_sectors(space, spectrum, range(max_n + 1))
-    text = dump_json(report) + "\n"
+    text = verification_text(report)
     if out_dir is not None:
         _write_text(out_dir / "verification.json", text)
     summary = report["summary"]

@@ -163,7 +163,9 @@ class SparseMatrix:
 
     def to_coordinate_csv(self) -> str:
         lines = ["row,col,value"]
-        for r, c, v in zip(self.rows, self.cols, self.vals):
+        # memoryviews yield Python ints and floats one at a time: formatting
+        # them skips numpy's scalar formatting without whole-array lists
+        for r, c, v in zip(memoryview(self.rows), memoryview(self.cols), memoryview(self.vals)):
             lines.append(f"{r},{c},{v:.17g}")
         return "\n".join(lines) + "\n"
 

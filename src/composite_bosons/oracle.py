@@ -7,10 +7,14 @@ and re-emitting the target structure with exactly contracted amplitudes.
 Matrix elements computed this way never touch ladder operators, so they
 cross-check the second-quantized construction term by term.
 
+:func:`apply_projected_term` collects the output products of one emission
+core, :func:`_emissions`: for each blueprint that matches a labeled product
+it yields the matched factors, the spectators and the emitted bra
+configurations with their exact fragment amplitudes.
 :func:`oracle_matrix_element` applies a term to every labeled product of the
 ket's expansion and takes the ideal inner product with the bra's expansion;
-it is the brute-force reference.  :func:`verify_sectors` uses two closed
-forms of those expansions instead:
+it is the brute-force reference.  :func:`verify_sectors` reads the same
+emission core directly and uses two closed forms of those expansions:
 
 * Each projected term sums over all label choices, so it commutes with
   relabeling, and every bra expansion is a symmetric sum; hence <B|H|p> is
@@ -19,10 +23,12 @@ forms of those expansions instead:
   labels 1.. in mode order, then each pair two consecutive labels), weighted
   by the sum of K's expansion weights, N! times its normalization constant.
 * A labeled product fixes its occupation (atoms per mode, pairs per
-  composite), so an applied product is read into its bra through the
-  occupation alone.  In the expansion of bra B it carries the weight
+  composite), so each emission is read into its bra through the occupation
+  alone: the ket's, minus the matched factors, plus the emitted ones.  In
+  the expansion of bra B a labeled product carries the weight
   w_B = c_B * prod(n_m!) * prod(k_a! 2^k_a), c_B the normalization constant:
-  the count of label permutations that fix one labeled product.
+  the count of label permutations that fix one labeled product.  No output
+  product is built.
 """
 
 from __future__ import annotations
@@ -128,18 +134,23 @@ def labeled_product_weight(state: OccupationState) -> float:
     return normalization_constant(state) * fixing
 
 
-def _occupation(
-    prod: FormalProduct, n_modes: int, n_composites: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(atoms per mode, pairs per composite) of a labeled product."""
-    atoms = [0] * n_modes
-    molecules = [0] * n_composites
-    for f in prod.factors:
+def _key_part(factor: FormalFactor) -> tuple:
+    """(labels, mode or composite) of one factor.  Sorted, the parts of a
+    labeled product key it, and order products as their ``sort_key`` does."""
+    if isinstance(factor, Atom):
+        return (factor.label,), factor.mode
+    return factor.labels, factor.index
+
+
+def _shift(
+    atoms: list[int], molecules: list[int], factors: Iterable[FormalFactor], step: int
+) -> None:
+    """Add ``step`` to the occupation of each factor's mode or composite."""
+    for f in factors:
         if isinstance(f, Atom):
-            atoms[f.mode] += 1
+            atoms[f.mode] += step
         else:
-            molecules[f.index] += 1
-    return tuple(atoms), tuple(molecules)
+            molecules[f.index] += step
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +281,74 @@ def _emit_configs(
         yield tuple(factors)
 
 
+Factors = tuple[FormalFactor, ...]
+
+
+def _emissions(
+    term: TermId, prod: FormalProduct, eng: ElementEngine
+) -> Iterator[tuple[Factors, Factors, list[tuple[Factors, float]]]]:
+    """The emission core of a projected term applied to one labeled product.
+
+    For each blueprint whose right slots match ``prod`` it yields the matched
+    ket factors, the spectators, and the emitted ``(bra factors, amplitude)``
+    pairs of the left structures with nonzero amplitude.  The amplitude is
+    the exact fragment element; ``prod``'s own weight is not applied.
+    """
+    n_modes, n_composites = eng.space.n_modes, eng.spectrum.n_composites
+    for right_slots, ops, left_variants in _term_blueprints(term, sorted(prod.labels)):
+        split = _match_slots(prod, right_slots)
+        if split is None:
+            continue
+        matched, spectators = split
+        ket_frag = FormalProduct(1.0, matched)
+        emitted = []
+        for left_slots in left_variants:
+            for bra_factors in _emit_configs(left_slots, n_modes, n_composites):
+                amp = eng.element(FormalProduct(1.0, bra_factors), ops, ket_frag)
+                if amp != 0.0:
+                    emitted.append((bra_factors, amp))
+        yield matched, spectators, emitted
+
+
+def _oracle_column(
+    term: TermId,
+    ket: OccupationState,
+    rep: FormalProduct,
+    index: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]],
+    dim: int,
+    eng: ElementEngine,
+) -> list[float]:
+    """Column ``<i|term|ket>`` read from the emissions of ket's representative.
+
+    Each emitted product's bra is read through its occupation: the ket's,
+    minus the matched factors, plus the emitted ones, looked up in ``index``
+    ``(atoms, molecules) -> (i, w_i)``.  Emissions of one labeled product are
+    summed first and the products added in sort-key order, the order
+    ``FormalState.collect`` gives them, so the column is bitwise the one read
+    from :func:`apply_projected_term`.
+    """
+    merged: dict[tuple, list] = {}  # product key -> [weight, i, w_i]
+    for matched, spectators, emitted in _emissions(term, rep, eng):
+        atoms, molecules = list(ket.atoms), list(ket.molecules)
+        _shift(atoms, molecules, matched, -1)
+        spectator_parts = [_key_part(f) for f in spectators]
+        for bra_factors, amp in emitted:
+            key = tuple(sorted(spectator_parts + [_key_part(f) for f in bra_factors]))
+            entry = merged.get(key)
+            if entry is not None:
+                entry[0] += rep.weight * amp
+                continue
+            bra_atoms, bra_molecules = atoms.copy(), molecules.copy()
+            _shift(bra_atoms, bra_molecules, bra_factors, 1)
+            merged[key] = [rep.weight * amp, *index[tuple(bra_atoms), tuple(bra_molecules)]]
+    column = [0.0] * dim
+    for key in sorted(merged):
+        weight, i, w_i = merged[key]
+        if weight != 0.0:
+            column[i] += w_i * weight
+    return column
+
+
 def apply_projected_term(
     term: TermId,
     state: FormalState,
@@ -279,28 +358,17 @@ def apply_projected_term(
 ) -> FormalState:
     """Apply one first-quantized projected term to a formal state.
 
-    Terms whose arity exceeds the particle count simply produce the empty
-    (annihilating) state.
+    Collects the emission core's output products over every product of the
+    state.  Terms whose arity exceeds the particle count simply produce the
+    empty (annihilating) state.
     """
     eng = engine if engine is not None else ElementEngine(space, spectrum)
-    out: list[FormalProduct] = []
-    for prod in state.products:
-        labels = sorted(prod.labels)
-        for right_slots, ops, left_variants in _term_blueprints(term, labels):
-            split = _match_slots(prod, right_slots)
-            if split is None:
-                continue
-            matched, spectators = split
-            ket_frag = FormalProduct(1.0, matched)
-            for left_slots in left_variants:
-                for bra_factors in _emit_configs(
-                    left_slots, space.n_modes, spectrum.n_composites
-                ):
-                    amp = eng.element(FormalProduct(1.0, bra_factors), ops, ket_frag)
-                    if amp != 0.0:
-                        out.append(
-                            FormalProduct(prod.weight * amp, bra_factors + spectators)
-                        )
+    out = [
+        FormalProduct(prod.weight * amp, bra_factors + spectators)
+        for prod in state.products
+        for _, spectators, emitted in _emissions(term, prod, eng)
+        for bra_factors, amp in emitted
+    ]
     if not out:
         return FormalState(())
     return FormalState.collect(out)
@@ -350,10 +418,12 @@ def verify_sectors(
     identity-permutation product weighted by N! times the normalization
     constant (the sum of the expansion's weights).  This is exact because the
     projected terms commute with relabeling and the bra expansions are
-    symmetric.  Column j is read in one pass over the applied products: each
-    product's occupation indexes ``(atoms, molecules) -> (bra index, w_i)``,
-    w_i being the weight of any one labeled product in bra i's expansion.
-    No expansion is built.
+    symmetric.  Column j is read straight from the emission core: each
+    emission's bra occupation (the ket's, minus the matched factors, plus the
+    emitted ones) indexes ``(atoms, molecules) -> (bra index, w_i)``, w_i
+    being the weight of any one labeled product in bra i's expansion.  No
+    expansion and no output product is built, and the column is bitwise the
+    one :func:`apply_projected_term` would give.
 
     Returns a report dict with one row per (term, bra, ket) and a summary;
     structure is stable for JSON serialization.
@@ -366,21 +436,15 @@ def verify_sectors(
     for n in sector_numbers:
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
         names = [str(s) for s in basis.states]
-        representatives = [
-            FormalState((representative_product(s),)) for s in basis.states
-        ]
+        representatives = [representative_product(s) for s in basis.states]
         index = {
             (s.atoms, s.molecules): (i, labeled_product_weight(s))
             for i, s in enumerate(basis.states)
         }
         for term in terms:
             block = build_term(term, basis, space, spectrum, tensors).to_dense()
-            for j, rep in enumerate(representatives):
-                applied = apply_projected_term(term, rep, space, spectrum, eng)
-                column = [0.0] * basis.dim
-                for p in applied.products:
-                    i, weight = index[_occupation(p, space.n_modes, spectrum.n_composites)]
-                    column[i] += weight * p.weight
+            for j, (ket, rep) in enumerate(zip(basis.states, representatives)):
+                column = _oracle_column(term, ket, rep, index, basis.dim, eng)
                 for i, oracle_value in enumerate(column):
                     sq_value = float(block[i, j])
                     diff = abs(sq_value - oracle_value)

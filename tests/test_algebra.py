@@ -324,3 +324,31 @@ def test_engine_rejects_label_mismatch_after_structural_twin_is_cached():
             FormalProduct(1.0, (Pair(0, (1, 3)),)),
         )
     assert len(eng._cache) == 1
+
+
+def test_engine_keys_operators_and_ket_of_consecutive_calls():
+    # the engine keeps the renumbering of the previous (operators, ket) pair;
+    # a call that changes either must still get its own fresh-contraction value
+    eng = ElementEngine(RANDOM_SPACE, RANDOM_SPECTRUM)
+    kets = [
+        FormalProduct(1.0, (Atom(0, 1), Pair(1, (2, 3)))),
+        FormalProduct(1.0, (Atom(1, 1), Pair(1, (2, 3)))),
+    ]
+    bras = [
+        FormalProduct(1.0, (Atom(2, 1), Pair(0, (2, 3)))),
+        FormalProduct(1.0, (Atom(0, 2), Pair(1, (1, 3)))),
+    ]
+    op_lists = [(TwoBody(1, 2), TwoBody(1, 3)), (OneBody(1), TwoBody(2, 3)), (OneBody(2),)]
+    # each step of the sequence changes either the operators or the ket
+    sequence = [
+        (ops, ket) for n, ops in enumerate(op_lists) for ket in (kets if n % 2 else kets[::-1])
+    ]
+    for ops, ket in sequence + sequence:
+        for bra in bras:
+            lo, hi = (ket, bra) if ket.sort_key < bra.sort_key else (bra, ket)
+            want = labeled_matrix_element(lo, ops, hi, RANDOM_SPACE, RANDOM_SPECTRUM)
+            assert eng.element(bra, ops, ket) == want, (ops, ket, bra)
+    assert len(eng._cache) == len(op_lists) * len(kets) * len(bras)
+    # a bra label outside the ket and the operators still raises
+    with pytest.raises(ValueError, match="label sets differ"):
+        eng.element(FormalProduct(1.0, (Atom(2, 1), Pair(0, (2, 4)))), op_lists[2], kets[1])

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from composite_bosons import cli
-from composite_bosons.models import random_mode_space
+from composite_bosons.modespace import LowestK
+from composite_bosons.models import build_ring_model, random_mode_space
+from composite_bosons.oracle import verify_sectors
 
 
 TWO_SITE = {
@@ -244,3 +246,59 @@ def test_dump_json_quotes_strings_like_json_dumps():
 def test_dump_json_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         cli.dump_json({"x": float("nan")})
+
+
+def _two_site_report(**kwargs):
+    space = build_ring_model(2, 1.0, -4.0)
+    return verify_sectors(space, space.solve_composites(LowestK(1)), range(0, 4), **kwargs)
+
+
+def _random_report(**kwargs):
+    space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
+    return verify_sectors(space, space.solve_composites(LowestK(2)), range(0, 4), **kwargs)
+
+
+def _hand_made_report():
+    values = [0.0, -0.0, 1e-300, -2.5, 1.0 / 3.0, -1.7976931348623157e308]
+    rows = [
+        {
+            "term": "SCSC",
+            "sector": 12,
+            "bra": "|0,2 ; 1⟩é",
+            "ket": 'tab\t"q"\\',
+            "sq_value": a,
+            "oracle_value": b,
+            "abs_diff": abs(a - b),
+        }
+        for a, b in zip(values, reversed(values))
+    ]
+    return {
+        "schema_version": 1,
+        "conventions": {"note": "⟩"},
+        "checks": rows,
+        "summary": {"max_abs_diff": 0.0, "pairs_checked": len(rows)},
+    }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _two_site_report,
+        _random_report,
+        lambda: _random_report(include_rows=False),
+        _hand_made_report,
+    ],
+    ids=["two-site", "random", "no-rows", "hand-made"],
+)
+def test_verification_text_is_dump_json(make):
+    report = make()
+    assert cli.verification_text(report) == cli.dump_json(report) + "\n"
+
+
+def test_verification_text_rejects_non_finite():
+    report = _hand_made_report()
+    report["checks"][2]["oracle_value"] = float("nan")
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.dump_json(report)
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.verification_text(report)

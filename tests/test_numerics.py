@@ -151,3 +151,16 @@ def test_coordinate_csv_format():
     text = m.to_coordinate_csv()
     assert text.splitlines()[0] == "row,col,value"
     assert text.splitlines()[1] == "0,1,0.5"
+
+
+def test_coordinate_csv_matches_numpy_scalar_formatting():
+    # the writer formats Python numbers; each line equals the formatting of
+    # the stored numpy scalars themselves, also for a strided array
+    dim = 3_000_000_000
+    rows = np.array([0, 7, 2_999_999_999, 12], dtype=np.int64)
+    cols = np.array([5, 2_999_999_998, 1, 12], dtype=np.int64)
+    vals = np.array([-0.1, 0.0, 1e-300, 0.0, 1.7976931348623157e308, 0.0, -2.0 / 3.0])[::2]
+    m = SparseMatrix(dim, rows, cols, vals)
+    want = ["row,col,value"] + [f"{r},{c},{v:.17g}" for r, c, v in zip(rows, cols, vals)]
+    assert m.to_coordinate_csv() == "\n".join(want) + "\n"
+    assert "2999999999,1,1.7976931348623157e+308" in want

@@ -3,7 +3,15 @@ import math
 import pytest
 
 from composite_bosons import oracle
-from composite_bosons.algebra import Atom, ElementEngine, Pair, formal_inner_product
+from composite_bosons.algebra import (
+    Atom,
+    ElementEngine,
+    FormalProduct,
+    FormalState,
+    Pair,
+    formal_inner_product,
+    labeled_matrix_element,
+)
 from composite_bosons.fock import OccupationState, enumerate_sector, normalization_constant
 from composite_bosons.hamiltonian import TermId, assemble_hamiltonian
 from composite_bosons.modespace import LowestK
@@ -184,22 +192,95 @@ def test_n5_spot_check(two_site):
 @pytest.mark.parametrize("model", ["two_site", "random_model"])
 def test_verify_sectors_matches_full_expansion(model, request):
     # the sweep applies each term to one labeled representative per ket; the
-    # full-orbit application of oracle_matrix_element is the reference
+    # full-orbit application of oracle_matrix_element is the reference, with
+    # each ket's applied expansion computed once and projected on every bra
     space, spectrum = request.getfixturevalue(model)
-    report = verify_sectors(space, spectrum, range(0, 4))
+    report = verify_sectors(space, spectrum, range(0, 5))
     swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
     engine = ElementEngine(space, spectrum)
     compared = 0
-    for n in range(0, 4):
+    for n in range(0, 5):
         states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
+        expansions = [expand_basis_state(s) for s in states]
         for term in TermId:
-            for ket in states:
-                for bra in states:
-                    want = oracle_matrix_element(term, bra, ket, space, spectrum, engine)
+            for ket, ket_expansion in zip(states, expansions):
+                applied = apply_projected_term(term, ket_expansion, space, spectrum, engine)
+                for bra, bra_expansion in zip(states, expansions):
+                    want = formal_inner_product(bra_expansion, applied)
                     got = swept[(term.value, str(bra), str(ket))]
                     assert got == pytest.approx(want, abs=1e-12), (term, bra, ket)
                     compared += 1
     assert compared == report["summary"]["pairs_checked"] == len(swept)
+
+
+def _blueprint_loop(term, state, space, spectrum):
+    # the blueprint loop written out once more, contracting every fragment
+    # afresh in the engine's orientation (lower sort key as the bra)
+    out = []
+    for prod in state.products:
+        for right, ops, lefts in oracle._term_blueprints(term, sorted(prod.labels)):
+            split = oracle._match_slots(prod, right)
+            if split is None:
+                continue
+            matched, spectators = split
+            ket = FormalProduct(1.0, matched)
+            for left in lefts:
+                for factors in oracle._emit_configs(left, space.n_modes, spectrum.n_composites):
+                    bra = FormalProduct(1.0, factors)
+                    lo, hi = (ket, bra) if ket.sort_key < bra.sort_key else (bra, ket)
+                    amp = labeled_matrix_element(lo, ops, hi, space, spectrum)
+                    if amp != 0.0:
+                        out.append(FormalProduct(prod.weight * amp, factors + spectators))
+    return FormalState.collect(out) if out else FormalState(())
+
+
+def test_apply_projected_term_matches_blueprint_loop(random_model):
+    # apply_projected_term collects the shared emission core over the full
+    # expansion; every product and weight equals the written-out loop's
+    space, spectrum = random_model
+    engine = ElementEngine(space, spectrum)
+    compared = 0
+    for n in range(0, 4):
+        for state in enumerate_sector(n, space.n_modes, spectrum.n_composites).states:
+            expansion = expand_basis_state(state)
+            for term in TermId:
+                got = apply_projected_term(term, expansion, space, spectrum, engine)
+                want = _blueprint_loop(term, expansion, space, spectrum)
+                assert [(p.factors, p.weight) for p in got.products] == [
+                    (p.factors, p.weight) for p in want.products
+                ], (term, state)
+                compared += len(want.products)
+    assert compared > 900
+
+
+def test_verify_sectors_columns_are_bitwise_the_collected_ones(random_model):
+    # the sweep sums the emission core without building output products; each
+    # value equals bitwise the column read from apply_projected_term's
+    # collected products on the same representative
+    space, spectrum = random_model
+    report = verify_sectors(space, spectrum, range(0, 5))
+    swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
+    engine = ElementEngine(space, spectrum)
+    for n in range(0, 5):
+        states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
+        index = {
+            (s.atoms, s.molecules): (i, labeled_product_weight(s)) for i, s in enumerate(states)
+        }
+        for term in TermId:
+            for ket in states:
+                rep = FormalState((representative_product(ket),))
+                column = [0.0] * len(states)
+                for p in apply_projected_term(term, rep, space, spectrum, engine).products:
+                    atoms, molecules = [0] * space.n_modes, [0] * spectrum.n_composites
+                    for f in p.factors:
+                        if isinstance(f, Atom):
+                            atoms[f.mode] += 1
+                        else:
+                            molecules[f.index] += 1
+                    i, weight = index[tuple(atoms), tuple(molecules)]
+                    column[i] += weight * p.weight
+                for bra, want in zip(states, column):
+                    assert swept[(term.value, str(bra), str(ket))] == want, (term, bra, ket)
 
 
 def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch):
