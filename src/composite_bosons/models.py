@@ -9,6 +9,7 @@ keeping the transformed interaction tensor dense in the mode basis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,20 +58,24 @@ class ModelConfig:
     output: OutputOptions = field(default_factory=OutputOptions)
 
 
+def _eigenbasis_space(values: np.ndarray, t4_mode: np.ndarray) -> ModeSpace:
+    return ModeSpace(
+        ModeBasis.of_size(len(values)),
+        OneBodyTensor(np.diag(values)),
+        TwoBodyTensor(t4_mode),
+    )
+
+
 def _to_mode_basis(o_raw: np.ndarray, t4_raw: np.ndarray) -> ModeSpace:
     """Rotate tensors into the eigenbasis of the one-body operator.
 
     In that basis the one-body tensor is exactly diagonal and the continuum
-    edge reads off the lowest eigenvalue.
+    edge reads off the lowest eigenvalue.  The rotation is one O(M^8)
+    einsum over a general site tensor.
     """
     values, vectors = dense_symmetric_eigen(o_raw)
-    o_mode = np.diag(values)
     t4_mode = np.einsum("am,bn,cp,dq,abcd->mnpq", vectors, vectors, vectors, vectors, t4_raw)
-    return ModeSpace(
-        ModeBasis.of_size(len(values)),
-        OneBodyTensor(o_mode),
-        TwoBodyTensor(t4_mode),
-    )
+    return _eigenbasis_space(values, t4_mode)
 
 
 def build_ring_model(m_sites: int, t: float, u: float) -> ModeSpace:
@@ -78,6 +83,14 @@ def build_ring_model(m_sites: int, t: float, u: float) -> ModeSpace:
 
     Returned in the one-body eigenbasis.  For two sites the wrap-around bond
     coincides with the direct bond and is counted once.
+
+    The site interaction is ``u`` on the diagonal ``[s, s, s, s]`` only, so
+    the mode-basis tensor is the closed form
+    ``T4[m, n, p, q] = sum_s (((V[s, m] V[s, n]) V[s, p]) V[s, q]) u``,
+    added into zeros with s ascending; no site tensor is built.  Per term and
+    over s this is the arithmetic of the ``_to_mode_basis`` einsum, so up to
+    M = 9 the result is bitwise equal to it; from M = 10 the einsum sums in
+    buffer chunks and the two differ in the last bits.
     """
     if m_sites < 2:
         raise ValueError(f"ring model needs at least 2 sites, got {m_sites}")
@@ -85,10 +98,11 @@ def build_ring_model(m_sites: int, t: float, u: float) -> ModeSpace:
     for s in range(m_sites):
         o_site[s, (s + 1) % m_sites] = -t
         o_site[(s + 1) % m_sites, s] = -t
-    t4_site = np.zeros((m_sites,) * 4)
-    for s in range(m_sites):
-        t4_site[s, s, s, s] = u
-    return _to_mode_basis(o_site, t4_site)
+    values, vectors = dense_symmetric_eigen(o_site)
+    t4_mode = np.zeros((m_sites,) * 4)
+    for row in vectors:
+        t4_mode += np.multiply.outer(np.multiply.outer(np.multiply.outer(row, row), row), row) * u
+    return _eigenbasis_space(values, t4_mode)
 
 
 def build_explicit_model(one_body: Sequence[Sequence[float]], t4_flat: Sequence[float]) -> ModeSpace:
@@ -167,13 +181,22 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _finite(value: object, name: str) -> float:
+    """``value`` as a float; it must be a finite JSON number and not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 def _number(section: dict, key: str, where: str) -> float:
     if key not in section:
         raise ConfigError(f"missing required key {where}.{key}")
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _finite(section[key], f"{where}.{key}")
 
 
 def load_config(text: str) -> ModelConfig:
@@ -185,6 +208,8 @@ def load_config(text: str) -> ModelConfig:
             f"configuration is not valid JSON: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     _require_keys(doc, _TOP_KEYS, "top level")
@@ -215,8 +240,11 @@ def load_config(text: str) -> ModelConfig:
         if not isinstance(t4, list):
             raise ConfigError("model.T4 must be a flat list")
         model = ExplicitModel(
-            one_body=tuple(tuple(float(x) for x in row) for row in o),
-            t4_flat=tuple(float(x) for x in t4),
+            one_body=tuple(
+                tuple(_finite(x, f"model.O[{i}][{j}]") for j, x in enumerate(row))
+                for i, row in enumerate(o)
+            ),
+            t4_flat=tuple(_finite(x, f"model.T4[{i}]") for i, x in enumerate(t4)),
         )
     else:
         raise ConfigError(f"model.type must be 'ring' or 'explicit', got {kind!r}")

@@ -228,6 +228,48 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["solve-pair", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+TWO_SITE_EXPLICIT = {"O": [[0.0, -1.0], [-1.0, 0.0]], "T4": [-4.0] + [0.0] * 14 + [-4.0]}
+
+
+@pytest.mark.parametrize(
+    "model,bound,key",
+    [
+        ({"type": "ring", "sites": 2, "t": 1.0, "U": math.nan}, None, "model.U"),
+        ({"type": "ring", "sites": 2, "t": math.inf, "U": -4.0}, None, "model.t"),
+        (
+            {"type": "ring", "sites": 2, "t": 1.0, "U": -4.0},
+            {"policy": "below_edge", "margin": math.nan},
+            "bound.margin",
+        ),
+        (
+            {"type": "explicit", **TWO_SITE_EXPLICIT, "O": [[0.0, "x"], [-1.0, 0.0]]},
+            None,
+            "model.O[0][1]",
+        ),
+        (
+            {"type": "explicit", **TWO_SITE_EXPLICIT, "T4": [None] + [0.0] * 15},
+            None,
+            "model.T4[0]",
+        ),
+        (
+            {"type": "explicit", **TWO_SITE_EXPLICIT, "T4": [0.0] * 15 + [-math.inf]},
+            None,
+            "model.T4[15]",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve-pair", "spectrum"])
+def test_non_finite_or_non_number_config_exits_1(tmp_path, capsys, model, bound, key, command):
+    doc = {"model": model} if bound is None else {"model": model, "bound": bound}
+    cfg = write_config(tmp_path, doc)
+    rc = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {key} must be a finite number")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dump_json_seventeen_digits():
     text = cli.dump_json({"x": 1.0 / 3.0, "n": 4, "s": "a", "flag": True, "none": None})
     parsed = json.loads(text)
