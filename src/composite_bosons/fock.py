@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Mapping
 
 import numpy as np
+import scipy.sparse as sp
+
+from .numerics import row_sorted_csr
 
 MAX_CONSTITUENTS = 64
 
@@ -168,6 +171,11 @@ class SectorBasis:
     def dim(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def annihilator_ladders(self) -> "AnnihilatorLadders":
+        """Every annihilator group of :data:`ANNIHILATOR_GROUPS` on this basis."""
+        return _annihilator_ladders(self)
+
     @staticmethod
     def union(*bases: "SectorBasis") -> "SectorBasis":
         if not bases:
@@ -182,6 +190,131 @@ class SectorBasis:
         ns = {b.constituents for b in bases}
         constituents = ns.pop() if len(ns) == 1 else None
         return SectorBasis(tuple(states), m, a, constituents)
+
+
+# ---------------------------------------------------------------------------
+# Annihilator ladders of a basis.
+
+# Every product of one or two annihilators, by the species of its factors.
+ANNIHILATOR_GROUPS: tuple[tuple[Species, ...], ...] = (
+    ("atom",),
+    ("molecule",),
+    ("atom", "atom"),
+    ("atom", "molecule"),
+    ("molecule", "atom"),
+    ("molecule", "molecule"),
+)
+
+
+@dataclass(frozen=True)
+class AnnihilatorLadder:
+    """The nonzero ``<image| a_{i_1} a_{i_2} ... |state>`` of one group on a basis.
+
+    A group index g flattens (i_1, i_2, ...) row-major over ``size`` values,
+    and an image is its rank among all images of the basis's ladders
+    (:class:`AnnihilatorLadders`).  The entries are stored in two layouts:
+
+    * ``by_state``, CSR of shape (dim, size * n_images): the ladder matrix
+      transposed, column ``g * n_images + image``, ascending within a row;
+    * ``by_group``, CSR of shape (size, n_pairs): row g, one column per
+      distinct (image, state) pair of the entries.  The pairs ascend, and
+      ``pair_images`` and ``pair_states`` name them.
+    """
+
+    size: int
+    by_state: sp.csr_matrix
+    by_group: sp.csr_matrix
+    pair_images: np.ndarray
+    pair_states: np.ndarray
+
+
+@dataclass(frozen=True)
+class AnnihilatorLadders:
+    """The ladders of every group in :data:`ANNIHILATOR_GROUPS` on one basis.
+
+    Their images are ranked jointly, ``0 .. n_images - 1`` in ascending
+    lexicographic order of the image occupation rows (atom counts first), so
+    one image reached by several groups has one rank.  On a union basis the
+    images may lie in several sectors.
+    """
+
+    n_images: int
+    groups: Mapping[tuple[Species, ...], AnnihilatorLadder]
+
+
+def _annihilate(
+    group: tuple[Species, ...], basis: SectorBasis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(group index, image occupations, state, value) of every nonzero entry.
+
+    The operators are applied left to right, so the entries come ordered by
+    state and then by group index.  They commute, and a value is a product
+    of at most two square roots either way round, so the order changes no bit.
+    """
+    occ, states = basis.occupations, np.arange(basis.dim)
+    index, vals = np.zeros(basis.dim, dtype=np.int64), np.ones(basis.dim)
+    for species in group:
+        atom = species == "atom"
+        offset = 0 if atom else basis.n_atom_modes
+        size = basis.n_atom_modes if atom else basis.n_molecule_modes
+        rows, modes = np.nonzero(occ[:, offset : offset + size])
+        occ = occ[rows]
+        vals = vals[rows] * np.sqrt(occ[np.arange(rows.size), offset + modes])
+        occ[np.arange(rows.size), offset + modes] -= 1
+        index = index[rows] * size + modes
+        states = states[rows]
+    return index, occ, states, vals
+
+
+def lexicographic_ranks(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ranks of the rows of a nonnegative integer array, ascending
+    lexicographically, and the number of distinct rows.
+
+    Runs of adjacent columns are packed into mixed-radix int64 keys (radix:
+    the column maximum plus one), each run only as long as its keys fit, so
+    no key overflows at any size; ``np.lexsort`` orders the keys.
+    """
+    n = rows.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    keys, key, span = [], np.zeros(n, dtype=np.int64), 1
+    for column, radix in zip(rows.T, (rows.max(axis=0) + 1).tolist()):
+        if span * radix > np.iinfo(np.int64).max:
+            keys.append(key)
+            key, span = np.zeros(n, dtype=np.int64), 1
+        key = key * radix + column
+        span *= radix
+    keys.append(key)
+    order = np.lexsort(keys[::-1])
+    step = np.zeros(n, dtype=np.int64)
+    for k in keys:
+        ordered = k[order]
+        step[1:] |= ordered[1:] != ordered[:-1]
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.cumsum(step)
+    return ranks, int(ranks[order[-1]]) + 1
+
+
+def _annihilator_ladders(basis: SectorBasis) -> AnnihilatorLadders:
+    entries = [_annihilate(group, basis) for group in ANNIHILATOR_GROUPS]
+    ranks, n_images = lexicographic_ranks(np.concatenate([occ for _, occ, _, _ in entries]))
+    splits = np.cumsum([vals.size for *_, vals in entries])[:-1]
+    modes = {"atom": basis.n_atom_modes, "molecule": basis.n_molecule_modes}
+    dim = basis.dim
+    groups = {}
+    for group, (index, _, states, vals), images in zip(
+        ANNIHILATOR_GROUPS, entries, np.split(ranks, splits)
+    ):
+        size = math.prod(modes[species] for species in group)
+        pairs, pair_of = np.unique(images * dim + states, return_inverse=True)
+        by_index = np.argsort(index, kind="stable")
+        groups[group] = AnnihilatorLadder(
+            size,
+            row_sorted_csr(states, index * n_images + images, vals, (dim, size * n_images)),
+            row_sorted_csr(index[by_index], pair_of[by_index], vals[by_index], (size, pairs.size)),
+            *np.divmod(pairs, dim),
+        )
+    return AnnihilatorLadders(n_images, groups)
 
 
 def enumerate_sector(

@@ -16,11 +16,16 @@ CCCC   molecule-molecule scattering, direct plus two exchange kets
 The bra-ket coefficients of a term form one tensor per model, a closed-form
 contraction of ``O``, ``T4`` and the pair coefficients ``phi[a, p, q]``
 built once by :func:`coefficient_tensors`.  Each term's block is the sparse
-product ``pref * L^T (C (x) I) R``: ``L`` and ``R`` stack the annihilator
-products of the term's bra and ket groups over the basis, built by array
-operations on its occupation array, and ``C`` is the tensor with its bra
-axes flattened into rows.  This route does not use
-:mod:`composite_bosons.algebra`; only the oracle does.
+product ``pref * L^T (C (x) I) R``: ``L`` and ``R`` are the annihilator
+ladders of the term's bra and ket groups, and ``C`` is the tensor with its
+bra axes flattened into rows.  The ladders come from
+:attr:`SectorBasis.annihilator_ladders`, built once per basis by array
+operations on its occupation array, with the images of all groups ranked
+jointly, and shared by every term.  ``(C (x) I) R`` is formed without the
+Kronecker product, as ``C`` times the ket ladder with its (image, state)
+pairs as columns, and the block is read straight from the CSR product.
+Each block is bitwise the one the Kronecker form gives.  This route does
+not use :mod:`composite_bosons.algebra`; only the oracle does.
 """
 
 from __future__ import annotations
@@ -146,52 +151,30 @@ _GROUPS: Mapping[TermId, tuple[tuple[Species, ...], tuple[Species, ...]]] = {
 }
 
 
-def _stack(group: tuple[Species, ...], basis: SectorBasis) -> tuple[np.ndarray, ...]:
-    """Every nonzero <image| prod_k a_{i_k} |state> of one group on the basis.
-
-    Returns (group index, image occupations, column, value) arrays, one row
-    per nonzero; the group index flattens (i_1, i_2, ...) row-major.
-    """
-    occ, cols = basis.occupations, np.arange(basis.dim)
-    groups, vals = np.zeros(basis.dim, dtype=np.int64), np.ones(basis.dim)
-    stride = 1
-    for species in reversed(group):  # annihilate right to left
-        atom = species == "atom"
-        offset = 0 if atom else basis.n_atom_modes
-        size = basis.n_atom_modes if atom else basis.n_molecule_modes
-        rows, modes = np.nonzero(occ[:, offset : offset + size])
-        occ = occ[rows]
-        vals = vals[rows] * np.sqrt(occ[np.arange(rows.size), offset + modes])
-        occ[np.arange(rows.size), offset + modes] -= 1
-        groups = groups[rows] + modes * stride
-        cols = cols[rows]
-        stride *= size
-    return groups, occ, cols, vals
-
-
 def _product(term: TermId, basis: SectorBasis, tensors: CoefficientTensors) -> SparseMatrix:
-    """``pref * L^T (C (x) I) R`` of one term with a row in ``_GROUPS``."""
+    """``pref * L^T (C (x) I) R`` of one term with a row in ``_GROUPS``.
+
+    ``(C (x) I) R`` is formed as ``C`` times the ket ladder with its images
+    carried in the columns, then its rows are re-indexed to (g, image).  Its
+    entries sum over h ascending, as the Kronecker product does, and each
+    block entry sums over g ascending along a row of ``by_state``, so the
+    block is bitwise the Kronecker form's.  No product is as wide as
+    ``n_images * dim``: a sparse product keeps a dense accumulator as wide
+    as its result.
+    """
     bra_group, ket_group = _GROUPS[term]
-    stacks = [_stack(g, basis) for g in dict.fromkeys((bra_group, ket_group))]
-    if not all(vals.size for *_, vals in stacks):
+    ladders = basis.annihilator_ladders
+    bra, ket = ladders.groups[bra_group], ladders.groups[ket_group]
+    if not (bra.by_state.nnz and ket.by_state.nnz):
         return SparseMatrix.zero(basis.dim)
-    # Rank the bra and ket images together: on a union basis they may lie in
-    # several sectors.
-    images = np.concatenate([occ for _, occ, _, _ in stacks])
-    unique, ranks = np.unique(images, axis=0, return_inverse=True)
-    n_img = len(unique)
-    c = tensors[term]
-    n_bra = math.prod(c.shape[: len(bra_group)])
-    coeffs = sp.csr_matrix(TERM_PREFACTOR[term] * c.reshape(n_bra, -1))
-    mats = [
-        sp.csr_matrix((vals, (index * n_img + rank, cols)), shape=(size * n_img, basis.dim))
-        for (index, _, cols, vals), rank, size in zip(
-            stacks, np.split(ranks.ravel(), [stacks[0][3].size]), coeffs.shape
-        )
-    ]
-    l_mat, r_mat = mats[0], mats[-1]
-    block = (l_mat.T @ (sp.kron(coeffs, sp.identity(n_img), format="csr") @ r_mat)).tocoo()
-    return SparseMatrix.from_triples(basis.dim, block.row, block.col, block.data)
+    coeffs = sp.csr_matrix(TERM_PREFACTOR[term] * tensors[term].reshape(bra.size, ket.size))
+    applied = coeffs @ ket.by_group
+    pairs = applied.indices
+    rows = np.repeat(np.arange(bra.size) * ladders.n_images, np.diff(applied.indptr))
+    rows += ket.pair_images[pairs]
+    shape = (bra.size * ladders.n_images, basis.dim)
+    applied = sp.csr_matrix((applied.data, (rows, ket.pair_states[pairs])), shape=shape)
+    return SparseMatrix.from_csr(bra.by_state @ applied)
 
 
 def _check_consistent(basis: SectorBasis, space: ModeSpace, spectrum: CompositeSpectrum) -> None:

@@ -24,7 +24,7 @@ from .modespace import (
     OneBodyTensor,
     TwoBodyTensor,
 )
-from .numerics import dense_symmetric_eigen
+from .numerics import NonSymmetricError, dense_symmetric_eigen, require_symmetric
 
 
 class ConfigError(ValueError):
@@ -111,9 +111,17 @@ def build_explicit_model(one_body: Sequence[Sequence[float]], t4_flat: Sequence[
     ``t4_flat`` is the flat row-major two-body tensor of length M**4 with
     index order [m, n, p, q].
     """
-    o_raw = np.asarray(one_body, dtype=float)
+    try:
+        o_raw = np.asarray(one_body, dtype=float)
+    except ValueError as exc:  # rows of unequal length
+        lengths = [len(row) for row in one_body]
+        raise ConfigError(f"model.O must be a square matrix, got rows of lengths {lengths}") from exc
     if o_raw.ndim != 2 or o_raw.shape[0] != o_raw.shape[1]:
         raise ConfigError(f"model.O must be a square matrix, got shape {o_raw.shape}")
+    try:
+        require_symmetric(o_raw, name="model.O")
+    except NonSymmetricError as exc:
+        raise ConfigError(str(exc)) from exc
     m = o_raw.shape[0]
     t4 = np.asarray(t4_flat, dtype=float)
     if t4.shape != (m**4,):

@@ -280,7 +280,7 @@ def solve_bound_states(
         for i in selected:
             if values[i] >= edge:
                 raise ValueError(
-                    f"lowest_k selection includes energy {values[i]!r} at or above "
+                    f"lowest_k selection includes energy {float(values[i])!r} at or above "
                     f"the continuum edge {edge!r}"
                 )
     else:  # pragma: no cover - exhaustive by type

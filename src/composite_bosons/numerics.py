@@ -9,6 +9,7 @@ ordered lexicographically after the sign fix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +88,13 @@ def dense_symmetric_eigen(mat: Matrix) -> tuple[Matrix, Matrix]:
     return _order_degenerate(values, vectors)
 
 
+def row_sorted_csr(rows, cols, vals, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR of entries listed row by row, rows ascending; each row keeps the
+    order its columns are listed in."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """Square sparse matrix in canonical coordinate storage.
@@ -94,13 +102,36 @@ class SparseMatrix:
     Triples are stored row-major (row, then column) with duplicates summed.
     An entry below ``DROP_TOL`` in magnitude is removed unless its transpose
     partner is stored at or above it, so the drop never splits a symmetric
-    pair.  Two equal matrices always carry identical storage.
+    pair.  Two equal matrices always carry identical storage.  The arrays
+    are read-only.
     """
 
     dim: int
     rows: NDArray[np.int64]
     cols: NDArray[np.int64]
     vals: NDArray[np.float64]
+
+    def __post_init__(self) -> None:
+        for arr in (self.rows, self.cols, self.vals):
+            arr.setflags(write=False)
+
+    @staticmethod
+    def _dropped(dim: int, rows, cols, vals) -> "SparseMatrix":
+        """Apply the drop to sorted triples without duplicates."""
+        keep = np.abs(vals) >= DROP_TOL
+        small = np.flatnonzero(~keep)
+        if small.size:
+            # a small entry stays when its transpose partner is stored and
+            # kept; the partners are looked up in ascending order, which
+            # keeps the binary searches local
+            keys = rows * dim + cols
+            mirror = cols[small] * dim + rows[small]
+            order = np.argsort(mirror)
+            small, mirror = small[order], mirror[order]
+            at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+            keep[small] = (keys[at] == mirror) & keep[at]
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        return SparseMatrix(dim, rows, cols, vals)
 
     @staticmethod
     def from_triples(dim: int, rows, cols, vals) -> "SparseMatrix":
@@ -115,22 +146,21 @@ class SparseMatrix:
             order = np.lexsort((cols, rows))
             rows, cols, vals = rows[order], cols[order], vals[order]
             # merge duplicates (stable: contributions are already sorted)
-            keys = rows * dim + cols
-            uniq, start = np.unique(keys, return_index=True)
-            summed = np.add.reduceat(vals, start)
-            rows = (uniq // dim).astype(np.int64)
-            cols = (uniq % dim).astype(np.int64)
-            vals = summed
-            keep = np.abs(vals) >= DROP_TOL
-            # a small entry stays when its transpose partner is stored and kept
-            small = np.flatnonzero(~keep)
-            mirror = cols[small] * dim + rows[small]
-            at = np.minimum(np.searchsorted(uniq, mirror), uniq.size - 1)
-            keep[small] = (uniq[at] == mirror) & keep[at]
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        for arr in (rows, cols, vals):
-            arr.setflags(write=False)
-        return SparseMatrix(dim, rows, cols, vals)
+            uniq, start = np.unique(rows * dim + cols, return_index=True)
+            rows, cols = np.divmod(uniq, dim)
+            vals = np.add.reduceat(vals, start)
+        return SparseMatrix._dropped(dim, rows, cols, vals)
+
+    @staticmethod
+    def from_csr(mat: sp.csr_matrix) -> "SparseMatrix":
+        """The canonical storage of a square CSR matrix with no duplicate entries.
+
+        Equal to :meth:`from_triples` of its entries; sorts ``mat`` in place.
+        """
+        mat.sort_indices()
+        dim = mat.shape[0]
+        rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(mat.indptr))
+        return SparseMatrix._dropped(dim, rows, mat.indices.astype(np.int64), mat.data)
 
     @staticmethod
     def zero(dim: int) -> "SparseMatrix":
@@ -145,21 +175,32 @@ class SparseMatrix:
         out[self.rows, self.cols] = self.vals
         return out
 
+    @cached_property
+    def _csr(self) -> sp.csr_matrix:
+        return row_sorted_csr(self.rows, self.cols, self.vals, (self.dim, self.dim))
+
     def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-        )
+        """The matrix in CSR, built once and shared by every caller."""
+        return self._csr
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_triples(self.dim, self.cols, self.rows, self.vals)
+        # row-major storage sorted stably by column is the transpose's row-major
+        # order; the drop treats both halves of a pair alike, so nothing drops
+        order = np.argsort(self.cols, kind="stable")
+        return SparseMatrix(self.dim, self.cols[order], self.rows[order], self.vals[order])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
 
-    def max_abs_asymmetry(self) -> float:
+    @cached_property
+    def _asymmetry(self) -> float:
         csr = self.to_csr()
         diff = csr - csr.T
         return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+
+    def max_abs_asymmetry(self) -> float:
+        """max |A - A^T|, computed once per matrix."""
+        return self._asymmetry
 
     def to_coordinate_csv(self) -> str:
         lines = ["row,col,value"]

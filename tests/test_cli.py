@@ -270,6 +270,40 @@ def test_non_finite_or_non_number_config_exits_1(tmp_path, capsys, model, bound,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "one_body, message",
+    [
+        ([[0.0, -1.0], [-1.0]], "model.O must be a square matrix, got rows of lengths [2, 1]"),
+        ([[0.0, -1.0], [-0.5, 0.0]], "model.O is not symmetric: max |A - A^T| = 5.000e-01"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve-pair", "spectrum"])
+def test_malformed_one_body_exits_1(tmp_path, capsys, one_body, message, command):
+    # ragged rows used to fail inside numpy, and an asymmetric O exited 2
+    # as a numerical failure although it is a configuration error
+    cfg = write_config(tmp_path, {"model": {"type": "explicit", **TWO_SITE_EXPLICIT, "O": one_body}})
+    rc = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {message}")
+    assert "inhomogeneous" not in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_lowest_k_past_the_edge_prints_plain_floats(tmp_path, capsys):
+    # the 15 pair states of a 5-site ring reach past the continuum edge
+    doc = {
+        "model": {"type": "ring", "sites": 5, "t": 1.0, "U": -20.0},
+        "bound": {"policy": "lowest_k", "k": 15},
+    }
+    rc = cli.main(["solve-pair", "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: lowest_k selection includes energy -3.11")
+    assert "at or above the continuum edge -3.99" in err
+    assert "np.float64" not in err
+
+
 def test_dump_json_seventeen_digits():
     text = cli.dump_json({"x": 1.0 / 3.0, "n": 4, "s": "a", "flag": True, "none": None})
     parsed = json.loads(text)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from composite_bosons import fock
 from composite_bosons.fock import (
+    ANNIHILATOR_GROUPS,
     OccupationState,
     SectorBasis,
     SqrtRational,
@@ -12,6 +15,7 @@ from composite_bosons.fock import (
     exact_commutator,
     exact_ladder_matrix,
     ladder_matrix,
+    lexicographic_ranks,
     normalization_constant,
     sector_dimension,
     truncated_states,
@@ -168,3 +172,75 @@ def test_duplicate_states_rejected():
     s = OccupationState((1,), (0,))
     with pytest.raises(ValueError, match="duplicate"):
         SectorBasis((s, s), 1, 1, None)
+
+
+def _unique_ranks(rows):
+    unique, ranks = np.unique(rows, axis=0, return_inverse=True)
+    return ranks.ravel(), len(unique)
+
+
+def test_image_ranks_past_int64_keys():
+    # (N+1)^(M+A) = 5^28 > 2^63: a single base-(N+1) key would overflow
+    basis = enumerate_sector(4, 14, 14)
+    assert 5**28 > 2**63
+    images = np.concatenate([fock._annihilate(g, basis)[1] for g in ANNIHILATOR_GROUPS])
+    ranks, n_images = lexicographic_ranks(images)
+    want, n_want = _unique_ranks(images)
+    assert n_images == n_want == basis.annihilator_ladders.n_images
+    assert np.array_equal(ranks, want)
+
+
+@pytest.mark.parametrize("high", [2, 1000, 2**40])
+def test_lexicographic_ranks_over_several_keys(high):
+    # wide rows with large entries span several int64 keys
+    rng = np.random.default_rng(high)
+    rows = rng.integers(0, high, size=(400, 40))
+    rows = np.concatenate([rows, rows[::3], rows[:, ::-1]])
+    ranks, n = lexicographic_ranks(rows)
+    want, n_want = _unique_ranks(rows)
+    assert n == n_want
+    assert np.array_equal(ranks, want)
+    assert lexicographic_ranks(np.zeros((0, 3), dtype=np.int64))[1] == 0
+
+
+def test_annihilator_ladders_match_ladder_matrices():
+    # each ladder, read back per (group index, image, state), is the product
+    # of single-mode ladder matrices on the union of sectors 0..3
+    basis = enumerate_sector(3, 3, 2)
+    union = [s for k in range(4) for s in enumerate_sector(k, 3, 2).states]
+    lookup = {s: i for i, s in enumerate(union)}
+    ladders = basis.annihilator_ladders
+    assert basis.annihilator_ladders is ladders
+    images = {}
+    for group, ladder in ladders.groups.items():
+        sizes = [3 if species == "atom" else 2 for species in group]
+        assert ladder.size == math.prod(sizes)
+        mat = ladder.by_state.tocoo()
+        g, image = np.divmod(mat.col, ladders.n_images)
+        for state, gi, im, val in zip(mat.row, g, image, mat.data):
+            modes = np.unravel_index(gi, sizes)
+            product = np.eye(len(union))
+            for species, mode in zip(group, modes):
+                product = product @ ladder_matrix(union, species, int(mode), "annihilate")
+            column = product[:, lookup[basis.states[state]]]
+            (target,) = np.flatnonzero(column)
+            assert val == column[target]
+            assert images.setdefault(int(im), union[target]) == union[target]
+        # by_group holds the same entries, the pairs ascending
+        pairs = ladder.by_group.tocoo()
+        back = sp.csr_matrix(
+            (
+                pairs.data,
+                (
+                    ladder.pair_states[pairs.col],
+                    pairs.row * ladders.n_images + ladder.pair_images[pairs.col],
+                ),
+            ),
+            shape=ladder.by_state.shape,
+        )
+        assert (back != ladder.by_state).nnz == 0
+        assert np.all(np.diff(ladder.pair_images * basis.dim + ladder.pair_states) > 0)
+    # one rank per image, ascending lexicographically in (atoms, molecules)
+    order = [images[k] for k in sorted(images)]
+    assert len(set(order)) == len(order) == ladders.n_images
+    assert order == sorted(order, key=lambda s: s.atoms + s.molecules)

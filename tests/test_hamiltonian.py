@@ -402,3 +402,98 @@ def test_terms_match_dense_ladder_products(seed, n):
         want = _dense_term(term, union, tensors[term])[-basis.dim :, -basis.dim :]
         got = build_term(term, basis, space, spectrum, tensors).to_dense()
         assert np.max(np.abs(got - want)) <= 1e-10, term
+
+
+# ---------------------------------------------------------------------------
+# Bitwise lock against the first array-native form of each block: annihilator
+# stacks built per term, images ranked with np.unique(axis=0), the Kronecker
+# product C (x) I, and canonicalization through from_triples.
+
+
+def _kron_stack(group, basis):
+    occ, cols = basis.occupations, np.arange(basis.dim)
+    groups, vals = np.zeros(basis.dim, dtype=np.int64), np.ones(basis.dim)
+    stride = 1
+    for species in reversed(group):  # annihilate right to left
+        atom = species == "atom"
+        offset = 0 if atom else basis.n_atom_modes
+        size = basis.n_atom_modes if atom else basis.n_molecule_modes
+        rows, modes = np.nonzero(occ[:, offset : offset + size])
+        occ = occ[rows]
+        vals = vals[rows] * np.sqrt(occ[np.arange(rows.size), offset + modes])
+        occ[np.arange(rows.size), offset + modes] -= 1
+        groups = groups[rows] + modes * stride
+        cols = cols[rows]
+        stride *= size
+    return groups, occ, cols, vals
+
+
+def _kron_product(term, basis, tensors):
+    import scipy.sparse as sp
+
+    if term is TermId.SSC:
+        css = _kron_product(TermId.CSS, basis, tensors)
+        return SparseMatrix.from_triples(basis.dim, css.cols, css.rows, css.vals)
+    bra_group, ket_group = hamiltonian._GROUPS[term]
+    stacks = [_kron_stack(g, basis) for g in dict.fromkeys((bra_group, ket_group))]
+    if not all(vals.size for *_, vals in stacks):
+        return SparseMatrix.zero(basis.dim)
+    images = np.concatenate([occ for _, occ, _, _ in stacks])
+    unique, ranks = np.unique(images, axis=0, return_inverse=True)
+    n_img = len(unique)
+    c = tensors[term]
+    n_bra = math.prod(c.shape[: len(bra_group)])
+    coeffs = sp.csr_matrix(hamiltonian.TERM_PREFACTOR[term] * c.reshape(n_bra, -1))
+    mats = [
+        sp.csr_matrix((vals, (index * n_img + rank, cols)), shape=(size * n_img, basis.dim))
+        for (index, _, cols, vals), rank, size in zip(
+            stacks, np.split(ranks.ravel(), [stacks[0][3].size]), coeffs.shape
+        )
+    ]
+    l_mat, r_mat = mats[0], mats[-1]
+    block = (l_mat.T @ (sp.kron(coeffs, sp.identity(n_img), format="csr") @ r_mat)).tocoo()
+    return SparseMatrix.from_triples(basis.dim, block.row, block.col, block.data)
+
+
+def _assert_bitwise(got, want, what):
+    assert got.dim == want.dim, what
+    assert np.array_equal(got.rows, want.rows), what
+    assert np.array_equal(got.cols, want.cols), what
+    assert np.array_equal(got.vals.view(np.int64), want.vals.view(np.int64)), what
+
+
+def _lock_cases():
+    ring6 = build_ring_model(6, 1.0, -20.0)
+    ring8 = build_ring_model(8, 1.0, -20.0)
+    rand = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
+    for name, space, policy, ns in (
+        ("ring6", ring6, BelowEdge(), range(5)),
+        ("ring8", ring8, BelowEdge(), range(5)),
+        ("ring8-k1", ring8, LowestK(1), range(5)),
+        ("random3", rand, LowestK(2), range(6)),
+    ):
+        spectrum = space.solve_composites(policy)
+        for n in ns:
+            yield name, space, spectrum, enumerate_sector(n, space.n_modes, spectrum.n_composites)
+    spectrum = rand.solve_composites(LowestK(2))
+    union = SectorBasis.union(*(enumerate_sector(n, 3, spectrum.n_composites) for n in (1, 3, 4)))
+    yield "random3-union", rand, spectrum, union
+
+
+def test_blocks_are_bitwise_the_kronecker_form():
+    for name, space, spectrum, basis in _lock_cases():
+        tensors = coefficient_tensors(space, spectrum)
+        want = {term: _kron_product(term, basis, tensors) for term in TermId}
+        if basis.constituents is None:
+            for term in TermId:
+                got = build_term(term, basis, space, spectrum, tensors)
+                _assert_bitwise(got, want[term], (name, term))
+            continue
+        ham = assemble_hamiltonian(basis, space, spectrum, tensors)
+        for term in TermId:
+            _assert_bitwise(ham.term(term), want[term], (name, basis.dim, term))
+        total = SparseMatrix.from_triples(
+            basis.dim,
+            *(np.concatenate([getattr(want[t], a) for t in TermId]) for a in ("rows", "cols", "vals")),
+        )
+        _assert_bitwise(ham.total, total, (name, basis.dim, "total"))

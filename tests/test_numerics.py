@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from composite_bosons.numerics import (
     NonSymmetricError,
@@ -164,3 +167,58 @@ def test_coordinate_csv_matches_numpy_scalar_formatting():
     want = ["row,col,value"] + [f"{r},{c},{v:.17g}" for r, c, v in zip(rows, cols, vals)]
     assert m.to_coordinate_csv() == "\n".join(want) + "\n"
     assert "2999999999,1,1.7976931348623157e+308" in want
+
+
+# values on both sides of the drop tolerance, exact zeros and ordinary sizes
+_VALUES = st.sampled_from(
+    [0.0, -0.0, 0.5e-12, -0.99e-12, 1e-12, -1e-12, 1.0000001e-12, -1.01e-12, 0.25, -3.0, 1e-3]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 5),
+    triples=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _VALUES), max_size=30),
+    seed=st.integers(0, 2**16),
+)
+def test_transpose_and_csr_canonicalizer_store_like_from_triples(dim, triples, seed):
+    triples = [(r % dim, c % dim, v) for r, c, v in triples]
+    rows, cols, vals = (np.array(x) for x in zip(*triples)) if triples else ([], [], [])
+    m = SparseMatrix.from_triples(dim, rows, cols, vals)
+
+    def same(a, b):
+        return (
+            a.dim == b.dim
+            and np.array_equal(a.rows, b.rows)
+            and np.array_equal(a.cols, b.cols)
+            and np.array_equal(a.vals.view(np.int64), b.vals.view(np.int64))
+        )
+
+    # the transpose is a permutation of the canonical storage
+    assert same(m.transpose(), SparseMatrix.from_triples(dim, cols, rows, vals))
+    assert same(m.transpose().transpose(), m)
+    # one entry per position, rows grouped, columns shuffled within each row
+    keys = {}
+    for r, c, v in triples:
+        keys[r, c] = v
+    entries = list(keys.items())
+    np.random.default_rng(seed).shuffle(entries)
+    entries.sort(key=lambda e: e[0][0])  # stable: columns stay shuffled
+    r = np.array([rc[0] for rc, _ in entries], dtype=np.int64)
+    c = np.array([rc[1] for rc, _ in entries], dtype=np.int64)
+    v = np.array([x for _, x in entries], dtype=float)
+    indptr = np.searchsorted(r, np.arange(dim + 1))
+    csr = sp.csr_matrix((v.copy(), c.copy(), indptr), shape=(dim, dim))  # sorted in place
+    assert same(SparseMatrix.from_csr(csr), SparseMatrix.from_triples(dim, r, c, v))
+
+
+def test_csr_and_asymmetry_are_built_once(monkeypatch):
+    m = SparseMatrix.from_triples(3, [0, 1, 2], [1, 0, 2], [1.0, 1.5, 2.0])
+    assert m.to_csr() is m.to_csr()
+    assert m.max_abs_asymmetry() == 0.5
+    monkeypatch.setattr(SparseMatrix, "to_csr", lambda self: pytest.fail("rebuilt"))
+    assert m.max_abs_asymmetry() == 0.5
+    with pytest.raises(NonSymmetricError):
+        sparse_lowest_eigen(m, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        m.vals[0] = 2.0
