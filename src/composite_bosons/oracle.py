@@ -7,10 +7,17 @@ and re-emitting the target structure with exactly contracted amplitudes.
 Matrix elements computed this way never touch ladder operators, so they
 cross-check the second-quantized construction term by term.
 
-:func:`apply_projected_term` collects the output products of one emission
-core, :func:`_emissions`: for each blueprint that matches a labeled product
-it yields the matched factors, the spectators and the emitted bra
-configurations with their exact fragment amplitudes.
+One emission core, :func:`_emissions`, applies a term to a labeled product.
+Which blueprints match the product, at which factor positions, and which
+factors are spectators depends only on its label layout (which labels are
+atoms, which are paired), not on the modes; so does every bra configuration
+a matched blueprint emits.  The core plans that once per (term, layout).
+The emitted ``(bra factors, amplitude)`` list depends only on the term, the
+operators and the matched factors, so it is contracted once per fragment.
+Both live in a dict the caller creates per call, so nothing outlives one
+model or one sweep.
+
+:func:`apply_projected_term` collects the core's output products.
 :func:`oracle_matrix_element` applies a term to every labeled product of the
 ket's expansion and takes the ideal inner product with the bra's expansion;
 it is the brute-force reference.  :func:`verify_sectors` reads the same
@@ -224,50 +231,38 @@ def _term_blueprints(term: TermId, labels: Sequence[int]) -> Iterator[Blueprint]
         raise ValueError(f"unknown projected term {term!r}")
 
 
-def _match_slots(
-    prod: FormalProduct,
-    slots: tuple[Slot, ...],
-) -> tuple[tuple[FormalFactor, ...], tuple[FormalFactor, ...]] | None:
-    """Split the product into (matched factors, spectators) if its partition
-    structure agrees with the projector slots; otherwise None."""
-    by_label: dict[int, FormalFactor] = {}
-    for f in prod.factors:
-        if isinstance(f, Atom):
-            by_label[f.label] = f
-        else:
-            by_label[f.labels[0]] = f
-            by_label[f.labels[1]] = f
-    matched: list[FormalFactor] = []
-    used: set[int] = set()
-    for kind, where in slots:
-        if kind == "S":
-            f = by_label.get(where)  # type: ignore[arg-type]
-            if not isinstance(f, Atom):
-                return None
-            matched.append(f)
-            used.add(f.label)
-        else:
-            i, j = where  # type: ignore[misc]
-            f = by_label.get(i)
-            if not isinstance(f, Pair) or f.labels != (i, j):
-                return None
-            matched.append(f)
-            used.update(f.labels)
-    spectators = tuple(
-        f for f in prod.factors if min(_labels_of(f)) not in used
-    )
-    return tuple(matched), spectators
+Layout = tuple[tuple[int, ...], ...]  # the labels of each factor, in factor order
+Factors = tuple[FormalFactor, ...]
+# One matched blueprint of a plan: operators, matched factor positions (in slot
+# order), spectator positions, and the bra configurations of its left variants.
+PlanEntry = tuple[tuple[Operator, ...], tuple[int, ...], tuple[int, ...], list[FormalProduct]]
 
 
 def _labels_of(factor: FormalFactor) -> tuple[int, ...]:
     return (factor.label,) if isinstance(factor, Atom) else factor.labels
 
 
+def _match_slots(
+    layout: Layout, slots: tuple[Slot, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Split a layout into (matched positions, spectator positions) if its
+    partition structure agrees with the projector slots; otherwise None."""
+    position = {labels: p for p, labels in enumerate(layout)}
+    matched = []
+    for kind, where in slots:
+        p = position.get((where,) if kind == "S" else where)  # type: ignore[arg-type]
+        if p is None:
+            return None
+        matched.append(p)
+    spectators = tuple(p for p in range(len(layout)) if p not in matched)
+    return tuple(matched), spectators
+
+
 def _emit_configs(
     slots: tuple[Slot, ...],
     n_modes: int,
     n_composites: int,
-) -> Iterator[tuple[FormalFactor, ...]]:
+) -> Iterator[Factors]:
     ranges = [
         range(n_modes) if kind == "S" else range(n_composites) for kind, _ in slots
     ]
@@ -281,11 +276,26 @@ def _emit_configs(
         yield tuple(factors)
 
 
-Factors = tuple[FormalFactor, ...]
+def _plan(term: TermId, layout: Layout, n_modes: int, n_composites: int) -> list[PlanEntry]:
+    """Every blueprint of ``term`` that matches ``layout``, with the bra
+    configurations of all its left variants in emission order."""
+    labels = sorted(lab for labs in layout for lab in labs)
+    plan = []
+    for right_slots, ops, left_variants in _term_blueprints(term, labels):
+        split = _match_slots(layout, right_slots)
+        if split is None:
+            continue
+        bras = [
+            FormalProduct(1.0, factors)
+            for left_slots in left_variants
+            for factors in _emit_configs(left_slots, n_modes, n_composites)
+        ]
+        plan.append((ops, *split, bras))
+    return plan
 
 
 def _emissions(
-    term: TermId, prod: FormalProduct, eng: ElementEngine
+    term: TermId, prod: FormalProduct, eng: ElementEngine, memo: dict
 ) -> Iterator[tuple[Factors, Factors, list[tuple[Factors, float]]]]:
     """The emission core of a projected term applied to one labeled product.
 
@@ -293,21 +303,28 @@ def _emissions(
     ket factors, the spectators, and the emitted ``(bra factors, amplitude)``
     pairs of the left structures with nonzero amplitude.  The amplitude is
     the exact fragment element; ``prod``'s own weight is not applied.
+
+    ``memo`` holds the plan of each (term, label layout) and the emission
+    list of each (term, operators, matched factors); the caller creates it
+    per call and reuses it across the products of that call.
     """
-    n_modes, n_composites = eng.space.n_modes, eng.spectrum.n_composites
-    for right_slots, ops, left_variants in _term_blueprints(term, sorted(prod.labels)):
-        split = _match_slots(prod, right_slots)
-        if split is None:
-            continue
-        matched, spectators = split
-        ket_frag = FormalProduct(1.0, matched)
-        emitted = []
-        for left_slots in left_variants:
-            for bra_factors in _emit_configs(left_slots, n_modes, n_composites):
-                amp = eng.element(FormalProduct(1.0, bra_factors), ops, ket_frag)
-                if amp != 0.0:
-                    emitted.append((bra_factors, amp))
-        yield matched, spectators, emitted
+    factors = prod.factors
+    layout = tuple(_labels_of(f) for f in factors)
+    plan = memo.get((term, layout))
+    if plan is None:
+        n_modes, n_composites = eng.space.n_modes, eng.spectrum.n_composites
+        plan = memo[term, layout] = _plan(term, layout, n_modes, n_composites)
+    for ops, positions, spectator_positions, bras in plan:
+        matched = tuple(factors[p] for p in positions)
+        emitted = memo.get((term, ops, matched))
+        if emitted is None:
+            ket_frag = FormalProduct(1.0, matched)
+            emitted = memo[term, ops, matched] = [
+                (bra.factors, amp)
+                for bra in bras
+                if (amp := eng.element(bra, ops, ket_frag)) != 0.0
+            ]
+        yield matched, tuple(factors[p] for p in spectator_positions), emitted
 
 
 def _oracle_column(
@@ -317,6 +334,7 @@ def _oracle_column(
     index: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]],
     dim: int,
     eng: ElementEngine,
+    memo: dict,
 ) -> list[float]:
     """Column ``<i|term|ket>`` read from the emissions of ket's representative.
 
@@ -328,7 +346,7 @@ def _oracle_column(
     from :func:`apply_projected_term`.
     """
     merged: dict[tuple, list] = {}  # product key -> [weight, i, w_i]
-    for matched, spectators, emitted in _emissions(term, rep, eng):
+    for matched, spectators, emitted in _emissions(term, rep, eng, memo):
         atoms, molecules = list(ket.atoms), list(ket.molecules)
         _shift(atoms, molecules, matched, -1)
         spectator_parts = [_key_part(f) for f in spectators]
@@ -363,10 +381,11 @@ def apply_projected_term(
     empty (annihilating) state.
     """
     eng = engine if engine is not None else ElementEngine(space, spectrum)
+    memo: dict = {}
     out = [
         FormalProduct(prod.weight * amp, bra_factors + spectators)
         for prod in state.products
-        for _, spectators, emitted in _emissions(term, prod, eng)
+        for _, spectators, emitted in _emissions(term, prod, eng, memo)
         for bra_factors, amp in emitted
     ]
     if not out:
@@ -425,10 +444,17 @@ def verify_sectors(
     expansion and no output product is built, and the column is bitwise the
     one :func:`apply_projected_term` would give.
 
+    One memo serves the whole call: the blueprint plan of each (term, label
+    layout), and the emissions of each (term, operators, matched factors),
+    are computed once and reused by every ket, sector and term that meets
+    them, so no (bra, operators, ket) fragment reaches the engine twice.
+    Each term block is read once as Python floats.
+
     Returns a report dict with one row per (term, bra, ket) and a summary;
     structure is stable for JSON serialization.
     """
     eng = ElementEngine(space, spectrum)
+    memo: dict = {}
     tensors = coefficient_tensors(space, spectrum)
     rows: list[dict] = []
     max_diff = 0.0
@@ -442,18 +468,20 @@ def verify_sectors(
             for i, s in enumerate(basis.states)
         }
         for term in terms:
-            block = build_term(term, basis, space, spectrum, tensors).to_dense()
+            name = term.value
+            block = build_term(term, basis, space, spectrum, tensors).to_dense().tolist()
             for j, (ket, rep) in enumerate(zip(basis.states, representatives)):
-                column = _oracle_column(term, ket, rep, index, basis.dim, eng)
+                column = _oracle_column(term, ket, rep, index, basis.dim, eng, memo)
                 for i, oracle_value in enumerate(column):
-                    sq_value = float(block[i, j])
+                    sq_value = block[i][j]
                     diff = abs(sq_value - oracle_value)
-                    max_diff = max(max_diff, diff)
+                    if diff > max_diff:
+                        max_diff = diff
                     checked += 1
                     if include_rows:
                         rows.append(
                             {
-                                "term": term.value,
+                                "term": name,
                                 "sector": n,
                                 "bra": names[i],
                                 "ket": names[j],

@@ -205,10 +205,10 @@ def test_verify_deterministic(tmp_path):
     texts = []
     for run in ("a", "b"):
         out = tmp_path / run
-        assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", "4"]) == 0
+        assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", "5"]) == 0
         texts.append((out / "verification.json").read_bytes())
     assert texts[0] == texts[1]
-    assert len(json.loads(texts[0])["checks"]) == 8610
+    assert len(json.loads(texts[0])["checks"]) == 26110
 
 
 def test_export_matrix(tmp_path):

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,13 +217,29 @@ def test_verify_sectors_matches_full_expansion(model, request):
     assert compared == report["summary"]["pairs_checked"] == len(swept)
 
 
+def _split(prod, slots):
+    # (matched factors, spectators) of a product against projector slots, or
+    # None; an atom slot needs that label unpaired, a pair slot that pair
+    by_labels = {
+        ((f.label,) if isinstance(f, Atom) else f.labels): f for f in prod.factors
+    }
+    matched = []
+    for kind, where in slots:
+        f = by_labels.get((where,) if kind == "S" else where)
+        if f is None:
+            return None
+        matched.append(f)
+    return tuple(matched), tuple(f for f in prod.factors if f not in matched)
+
+
 def _blueprint_loop(term, state, space, spectrum):
-    # the blueprint loop written out once more, contracting every fragment
-    # afresh in the engine's orientation (lower sort key as the bra)
+    # the blueprint loop written out once more, matching every product anew
+    # and contracting every fragment afresh in the engine's orientation
+    # (lower sort key as the bra)
     out = []
     for prod in state.products:
         for right, ops, lefts in oracle._term_blueprints(term, sorted(prod.labels)):
-            split = oracle._match_slots(prod, right)
+            split = _split(prod, right)
             if split is None:
                 continue
             matched, spectators = split
@@ -253,15 +273,18 @@ def test_apply_projected_term_matches_blueprint_loop(random_model):
     assert compared > 900
 
 
-def test_verify_sectors_columns_are_bitwise_the_collected_ones(random_model):
+@pytest.mark.parametrize("model", ["two_site", "random_model"])
+def test_verify_sectors_columns_are_bitwise_the_collected_ones(model, request):
     # the sweep sums the emission core without building output products; each
     # value equals bitwise the column read from apply_projected_term's
-    # collected products on the same representative
-    space, spectrum = random_model
-    report = verify_sectors(space, spectrum, range(0, 5))
+    # collected products on the same representative.  N <= 5 of random_model
+    # is the 26,110 pairs of the oracle-verify benchmark model
+    space, spectrum = request.getfixturevalue(model)
+    report = verify_sectors(space, spectrum, range(0, 6))
     swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
     engine = ElementEngine(space, spectrum)
-    for n in range(0, 5):
+    compared = 0
+    for n in range(0, 6):
         states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
         index = {
             (s.atoms, s.molecules): (i, labeled_product_weight(s)) for i, s in enumerate(states)
@@ -281,6 +304,47 @@ def test_verify_sectors_columns_are_bitwise_the_collected_ones(random_model):
                     column[i] += weight * p.weight
                 for bra, want in zip(states, column):
                     assert swept[(term.value, str(bra), str(ket))] == want, (term, bra, ket)
+                    compared += 1
+    assert compared == report["summary"]["pairs_checked"] == len(swept)
+
+
+def test_verify_sectors_contracts_each_fragment_once(random_model, monkeypatch):
+    # the plan and the per-fragment emission lists hand every distinct
+    # (bra, operators, ket) fragment to the engine exactly once per sweep
+    space, spectrum = random_model
+    seen = []
+    element = ElementEngine.element
+
+    def recording(self, bra, ops, ket):
+        seen.append((bra.sort_key, tuple(ops), ket.sort_key))
+        return element(self, bra, ops, ket)
+
+    monkeypatch.setattr(ElementEngine, "element", recording)
+    report = verify_sectors(space, spectrum, range(0, 6), include_rows=False)
+    assert report["summary"]["pairs_checked"] == 26_110
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
+def test_verify_sectors_memo_does_not_outlive_a_call(two_site, random_model):
+    # a sweep of another model in the same process leaves nothing behind:
+    # the report equals one computed in a fresh interpreter
+    script = (
+        "import json, sys\n"
+        "from composite_bosons.modespace import LowestK\n"
+        "from composite_bosons.models import random_mode_space\n"
+        "from composite_bosons.oracle import verify_sectors\n"
+        "space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))\n"
+        "report = verify_sectors(space, space.solve_composites(LowestK(2)), range(0, 4))\n"
+        "json.dump(report, sys.stdout)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    fresh = json.loads(done.stdout)
+    verify_sectors(*two_site, range(0, 4))
+    assert verify_sectors(*random_model, range(0, 4)) == fresh
 
 
 def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch):
