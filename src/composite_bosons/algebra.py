@@ -284,24 +284,20 @@ class ElementEngine:
     """Caches exact matrix elements between small formal fragments.
 
     Each distinct (bra structure, operator list, ket structure) is contracted
-    once up to label names.  Bra/ket orientation is canonicalized first; the
-    cache key then renumbers the labels of the bra, ket and operators 0, 1,
-    ... in increasing order.  That renumbering keeps the order of the labels,
-    hence the factor order and every einsum subscript string, so a cache hit
-    returns bitwise the value a fresh contraction would give.  It is also
-    one-to-one on the labels, so a call whose bra and ket (or operator) labels
-    differ never shares a key with a valid one and still raises.
-
-    Callers sweep many bras against one (operators, ket) fragment, so the
-    renumbering of that fragment is kept from the previous call while the
-    operators and the ket structure stay equal.
+    once up to label names.  Bra/ket orientation is canonicalized first, by
+    sort key; the cache key then renumbers the union of the bra, ket and
+    operator labels 0, 1, ... in increasing order.  That renumbering keeps
+    the order of the labels, hence the factor order and every einsum
+    subscript string, so a cache hit returns bitwise the value a fresh
+    contraction would give.  It is also one-to-one on the labels, so a call
+    whose bra and ket (or operator) labels differ never shares a key with a
+    valid one and still raises.
     """
 
     def __init__(self, space: ModeSpace, spectrum: CompositeSpectrum):
         self.space = space
         self.spectrum = spectrum
         self._cache: dict[tuple, float] = {}
-        self._fixed: _Renumbering | None = None
 
     def element(
         self,
@@ -310,15 +306,17 @@ class ElementEngine:
         ket: FormalProduct,
     ) -> float:
         ops = tuple(ops)
-        bkey, kkey = bra.sort_key, ket.sort_key
-        fixed = self._fixed
-        if fixed is None or fixed.ket_key != kkey or fixed.ops != ops:
-            fixed = self._fixed = _Renumbering(ops, kkey)
-        key = fixed.key(bkey)
-        if key is None:  # a bra label lies outside the ket and the operators
-            key = _Renumbering(ops, kkey, bkey).key(bkey)
-        if kkey < bkey:
+        if ket.sort_key < bra.sort_key:
             bra, ket = ket, bra
+        bkey, kkey = bra.sort_key, ket.sort_key
+        op_labels = [_op_labels(op) for op in ops]
+        labels = set().union(*op_labels, *(f[1] for f in bkey + kkey))
+        rank = {lab: r for r, lab in enumerate(sorted(labels))}.__getitem__
+        key = (
+            _renumbered(bkey, rank),
+            tuple(tuple(map(rank, labs)) for labs in op_labels),
+            _renumbered(kkey, rank),
+        )
         value = self._cache.get(key)
         if value is None:
             value = labeled_matrix_element(
@@ -332,31 +330,6 @@ class ElementEngine:
         return bra.weight * ket.weight * value
 
 
-class _Renumbering:
-    """The labels of an (operators, ket) fragment, plus those of the ``extra``
-    sort key, renumbered 0, 1, ... in increasing order."""
-
-    def __init__(self, ops: tuple[Operator, ...], kkey: tuple, extra: tuple = ()):
-        self.ops = ops
-        self.ket_key = kkey
-        op_labels = [_op_labels(op) for op in ops]
-        labels = set().union(*op_labels, *(f[1] for f in kkey + extra))
-        self._rank = {lab: r for r, lab in enumerate(sorted(labels))}
-        self._ops = tuple(tuple(map(self._rank.__getitem__, labs)) for labs in op_labels)
-        self._ket = self._renumber(kkey)
-
-    def _renumber(self, key: tuple) -> tuple:
-        rank = self._rank.__getitem__
-        return tuple((kind, tuple(map(rank, labs)), tag) for kind, labs, tag in key)
-
-    def key(self, bkey: tuple) -> tuple | None:
-        """(lower sort key, operator labels, higher sort key) of a bra against
-        the fragment, renumbered; None if a bra label is not ranked.  The
-        renumbering keeps the order of sort keys."""
-        try:
-            bra = self._renumber(bkey)
-        except KeyError:
-            return None
-        if self._ket < bra:
-            return self._ket, self._ops, bra
-        return bra, self._ops, self._ket
+def _renumbered(key: tuple, rank) -> tuple:
+    """A sort key with each label replaced by its rank."""
+    return tuple((kind, tuple(map(rank, labs)), tag) for kind, labs, tag in key)

@@ -1,6 +1,6 @@
 """Command-line front end: solve-pair, spectrum, verify, export-matrix.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure,
 3 verification failure.  All numeric JSON output uses 17 significant
 digits so identical runs produce byte-identical artifacts.
 """
@@ -13,7 +13,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -190,28 +190,37 @@ def _sector_csv(n: int, eigenvalues: Sequence[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sector_hamiltonians(
+    space: ModeSpace, spectrum: CompositeSpectrum, n_max: int
+) -> Iterator[tuple[int, SparseHamiltonian]]:
+    """The assembled Hamiltonian of each sector N = 0..n_max, in turn."""
+    tensors = coefficient_tensors(space, spectrum)
+    for n in range(n_max + 1):
+        basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
+        yield n, assemble_hamiltonian(basis, space, spectrum, tensors)
+
+
 def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) -> int:
     started = time.perf_counter()
     if verify_max_n is not None:
         _check_max_n(verify_max_n)
     space, spectrum = _solve(config)
-    tensors = coefficient_tensors(space, spectrum)
     sectors = []
     sector_eigs: dict[int, list[float]] = {}
-    hams: dict[int, SparseHamiltonian] = {}
-    for n in range(config.n_max + 1):
-        basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
-        ham = assemble_hamiltonian(basis, space, spectrum, tensors)
-        hams[n] = ham
-        k = min(basis.dim, _EIGENVALUES_PER_SECTOR)
+    # sector blocks are kept only when their term CSVs will be written
+    hams: dict[int, SparseHamiltonian] | None = {} if "csv" in config.output.formats else None
+    for n, ham in _sector_hamiltonians(space, spectrum, config.n_max):
+        if hams is not None:
+            hams[n] = ham
+        k = min(ham.basis.dim, _EIGENVALUES_PER_SECTOR)
         eigs = [float(v) for v in sparse_lowest_eigen(ham.total, k)]
         sector_eigs[n] = eigs
         sectors.append(
             {
                 "n": n,
-                "dimension": basis.dim,
+                "dimension": ham.basis.dim,
                 "lowest_eigenvalues": eigs,
-                "term_norms": {t.value: ham.term(t).max_abs() for t in TermId},
+                "term_norms": {t.value: ham.terms[t].max_abs() for t in TermId},
             }
         )
     report = {
@@ -227,7 +236,7 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
         )
         report["verification"] = verification["summary"]
         status = _verify_status(verification["summary"])
-    write_report(report, sector_eigs, hams if "csv" in config.output.formats else None, out_dir)
+    write_report(report, sector_eigs, hams, out_dir)
     sys.stderr.write(f"spectrum finished in {time.perf_counter() - started:.3f}s\n")
     return status
 
@@ -258,11 +267,15 @@ def write_report(
         _write_text(out_dir / f"sector_{n}_eigs.csv", _sector_csv(n, eigs))
     if hams is not None:
         for n, ham in hams.items():
-            for term in TermId:
-                _write_text(
-                    out_dir / f"term_{term.value}_sector_{n}.csv",
-                    ham.term(term).to_coordinate_csv(),
-                )
+            _write_term_csvs(out_dir, n, ham)
+
+
+def _write_term_csvs(out_dir: Path, n: int, ham: SparseHamiltonian) -> None:
+    for term in TermId:
+        _write_text(
+            out_dir / f"term_{term.value}_sector_{n}.csv",
+            ham.terms[term].to_coordinate_csv(),
+        )
 
 
 def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
@@ -284,15 +297,8 @@ def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
 
 def _cmd_export_matrix(config: ModelConfig, out_dir: Path) -> int:
     space, spectrum = _solve(config)
-    tensors = coefficient_tensors(space, spectrum)
-    for n in range(config.n_max + 1):
-        basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
-        ham = assemble_hamiltonian(basis, space, spectrum, tensors)
-        for term in TermId:
-            _write_text(
-                out_dir / f"term_{term.value}_sector_{n}.csv",
-                ham.term(term).to_coordinate_csv(),
-            )
+    for n, ham in _sector_hamiltonians(space, spectrum, config.n_max):
+        _write_term_csvs(out_dir, n, ham)
     return EXIT_OK
 
 
@@ -311,18 +317,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to JSON configuration")
         p.add_argument("--out-dir", default=None, help="directory for output artifacts")
-        p.add_argument(
-            "--max-n",
-            type=int,
-            default=None,
-            help="largest constituent sector for oracle verification (guarded at 6); "
-            "on `spectrum` this also embeds a verification summary in the report",
-        )
+        if name in ("spectrum", "verify"):
+            p.add_argument(
+                "--max-n",
+                type=int,
+                default=None,
+                help="largest constituent sector for oracle verification (guarded at 6); "
+                "on `spectrum` this also embeds a verification summary in the report",
+            )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return EXIT_CONFIG  # argparse has written the usage error to stderr
     try:
         config_text = Path(args.config).read_text()
     except OSError as exc:

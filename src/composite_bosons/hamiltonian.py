@@ -227,9 +227,6 @@ class SparseHamiltonian:
     terms: Mapping[TermId, SparseMatrix]
     total: SparseMatrix
 
-    def term(self, term: TermId) -> SparseMatrix:
-        return self.terms[term]
-
 
 def _worst_asymmetry_entries(mat: SparseMatrix, limit: int = 5) -> str:
     """The ``limit`` largest |A - A^T| entries, largest first, ties by (row, col)."""

@@ -19,7 +19,6 @@ from .modespace import (
     BelowEdge,
     BoundPolicy,
     LowestK,
-    ModeBasis,
     ModeSpace,
     OneBodyTensor,
     TwoBodyTensor,
@@ -59,11 +58,7 @@ class ModelConfig:
 
 
 def _eigenbasis_space(values: np.ndarray, t4_mode: np.ndarray) -> ModeSpace:
-    return ModeSpace(
-        ModeBasis.of_size(len(values)),
-        OneBodyTensor(np.diag(values)),
-        TwoBodyTensor(t4_mode),
-    )
+    return ModeSpace(OneBodyTensor(np.diag(values)), TwoBodyTensor(t4_mode))
 
 
 def _to_mode_basis(o_raw: np.ndarray, t4_raw: np.ndarray) -> ModeSpace:
@@ -166,9 +161,7 @@ def random_mode_space(
         g = 0.5 * (g_raw + g_raw.T)
         g /= np.linalg.norm(g)
         t4 = t4 - strength * np.einsum("mn,pq->mnpq", g, g)
-    return ModeSpace(
-        ModeBasis.of_size(n_modes), OneBodyTensor(o), TwoBodyTensor(t4)
-    )
+    return ModeSpace(OneBodyTensor(o), TwoBodyTensor(t4))
 
 
 # ---------------------------------------------------------------------------

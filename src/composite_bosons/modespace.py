@@ -1,4 +1,4 @@
-"""Single-particle mode basis, model tensors, pair Hamiltonian and composites.
+"""Single-particle model tensors, pair Hamiltonian and composites.
 
 A system of identical bosons is described by a one-body tensor ``O[m, n]``
 and a two-body tensor ``T4[m, n, p, q]`` over ``M`` unbound modes.  The
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,27 +21,6 @@ Matrix = NDArray[np.float64]
 
 _EXCHANGE_TOL = 1e-12
 _ORTHONORMALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ModeBasis:
-    """Labels of the unbound single-particle modes."""
-
-    labels: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.labels) < 1:
-            raise ValueError("mode basis needs at least one mode")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("mode labels must be unique")
-
-    @staticmethod
-    def of_size(n_modes: int) -> "ModeBasis":
-        return ModeBasis(tuple(range(n_modes)))
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.labels)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -119,10 +97,6 @@ class PairHamiltonian:
         require_symmetric(self.mat, name="pair Hamiltonian")
         if self.mat.shape[0] != len(self.pairs):
             raise ValueError("pair Hamiltonian dimension does not match pair list")
-
-    @cached_property
-    def pair_index(self) -> dict[tuple[int, int], int]:
-        return {pq: i for i, pq in enumerate(self.pairs)}
 
     @property
     def dim(self) -> int:
@@ -302,21 +276,22 @@ def solve_bound_states(
 
 @dataclass
 class ModeSpace:
-    """Bundle of mode basis and model tensors, with small solver caches."""
+    """The one-body and two-body model tensors over ``n_modes`` unbound modes."""
 
-    basis: ModeBasis
     one_body: OneBodyTensor
     two_body: TwoBodyTensor
     _one_hot: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (self.basis.n_modes == self.one_body.n_modes == self.two_body.n_modes):
-            raise ValueError("basis, one-body and two-body mode counts differ")
-        self._one_hot = _readonly(np.eye(self.basis.n_modes))
+        if self.one_body.n_modes != self.two_body.n_modes:
+            raise ValueError("one-body and two-body mode counts differ")
+        if self.one_body.n_modes < 1:
+            raise ValueError("mode space needs at least one mode")
+        self._one_hot = _readonly(np.eye(self.one_body.n_modes))
 
     @property
     def n_modes(self) -> int:
-        return self.basis.n_modes
+        return self.one_body.n_modes
 
     def one_hot(self, mode: int) -> Matrix:
         return self._one_hot[mode]
@@ -324,16 +299,9 @@ class ModeSpace:
     def pair_hamiltonian(self) -> PairHamiltonian:
         return build_pair_hamiltonian(self.one_body, self.two_body)
 
-    def solve_composites(
-        self,
-        policy: BoundPolicy,
-        pair_h: PairHamiltonian | None = None,
-    ) -> CompositeSpectrum:
-        """Solve for composites; ``pair_h`` may substitute another Hermitian
-        pair operator in place of the default O(1)+O(2)+T(1,2)."""
-        if pair_h is None:
-            pair_h = self.pair_hamiltonian()
-        return solve_bound_states(pair_h, self.one_body, policy)
+    def solve_composites(self, policy: BoundPolicy) -> CompositeSpectrum:
+        """The bound eigenstates of O(1) + O(2) + T(1, 2) that ``policy`` keeps."""
+        return solve_bound_states(self.pair_hamiltonian(), self.one_body, policy)
 
 
 def mode_space(one_body: Matrix | OneBodyTensor, two_body: NDArray | TwoBodyTensor) -> ModeSpace:
@@ -342,4 +310,4 @@ def mode_space(one_body: Matrix | OneBodyTensor, two_body: NDArray | TwoBodyTens
         one_body = OneBodyTensor(np.asarray(one_body, dtype=float))
     if not isinstance(two_body, TwoBodyTensor):
         two_body = TwoBodyTensor(np.asarray(two_body, dtype=float))
-    return ModeSpace(ModeBasis.of_size(one_body.n_modes), one_body, two_body)
+    return ModeSpace(one_body, two_body)

@@ -41,7 +41,6 @@ emission core directly and uses two closed forms of those expansions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -412,16 +411,6 @@ def oracle_matrix_element(
 
 # ---------------------------------------------------------------------------
 # Full-sweep verification against the second-quantized construction.
-
-
-@dataclass(frozen=True)
-class VerificationSummary:
-    max_abs_diff: float
-    pairs_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_diff <= 1e-10
 
 
 def verify_sectors(

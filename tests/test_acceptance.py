@@ -117,8 +117,8 @@ def test_criterion_3_hermiticity_and_adjoint_pairing(random_model):
         ham = assemble_hamiltonian(basis, space, spectrum)
         total = ham.total.to_dense()
         ok = ok and np.max(np.abs(total - total.T)) <= 1e-12
-        css = ham.term(TermId.CSS).to_dense()
-        ssc = ham.term(TermId.SSC).to_dense()
+        css = ham.terms[TermId.CSS].to_dense()
+        ssc = ham.terms[TermId.SSC].to_dense()
         ok = ok and np.array_equal(css, ssc.T)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0

@@ -327,8 +327,8 @@ def test_engine_rejects_label_mismatch_after_structural_twin_is_cached():
 
 
 def test_engine_keys_operators_and_ket_of_consecutive_calls():
-    # the engine keeps the renumbering of the previous (operators, ket) pair;
-    # a call that changes either must still get its own fresh-contraction value
+    # consecutive calls that change the operators or the ket must each get
+    # their own fresh-contraction value, not a neighbour's cache entry
     eng = ElementEngine(RANDOM_SPACE, RANDOM_SPECTRUM)
     kets = [
         FormalProduct(1.0, (Atom(0, 1), Pair(1, (2, 3)))),

@@ -16,6 +16,8 @@ TWO_SITE = {
     "bound": {"policy": "lowest_k", "k": 1},
 }
 
+TWO_SITE_CSV = {**TWO_SITE, "output": {"formats": ["json", "csv"]}}
+
 U_ZERO = {
     "model": {"type": "ring", "sites": 2, "t": 1.0, "U": 0.0},
     "truncation": {"n_max": 1},
@@ -63,19 +65,23 @@ def test_spectrum_writes_report_and_csv(tmp_path):
     assert csv_text[1].startswith("2,0,")
 
 
+def _files(directory, pattern="*"):
+    return {path.name: path.read_bytes() for path in sorted(directory.glob(pattern))}
+
+
 def test_spectrum_deterministic(tmp_path):
-    cfg = write_config(tmp_path, TWO_SITE)
+    cfg = write_config(tmp_path, TWO_SITE_CSV)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["spectrum", "--config", cfg, "--out-dir", str(out1)]) == 0
     assert cli.main(["spectrum", "--config", cfg, "--out-dir", str(out2)]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    assert (out1 / "sector_2_eigs.csv").read_bytes() == (out2 / "sector_2_eigs.csv").read_bytes()
+    written = _files(out1)
+    assert "report.json" in written and "sector_2_eigs.csv" in written
+    assert len(_files(out1, "term_*_sector_*.csv")) == 7 * 3
+    assert written == _files(out2)
 
 
 def test_spectrum_csv_format_writes_term_blocks(tmp_path):
-    doc = dict(TWO_SITE)
-    doc["output"] = {"formats": ["json", "csv"]}
-    cfg = write_config(tmp_path, doc)
+    cfg = write_config(tmp_path, TWO_SITE_CSV)
     out = tmp_path / "out"
     assert cli.main(["spectrum", "--config", cfg, "--out-dir", str(out)]) == 0
     term_file = out / "term_CSS_sector_2.csv"
@@ -219,6 +225,46 @@ def test_export_matrix(tmp_path):
     for term in ["SS", "SSSS", "CC", "CSS", "SSC", "SCSC", "CCCC"]:
         for n in range(3):
             assert (out / f"term_{term}_sector_{n}.csv").exists()
+
+
+def test_export_matrix_csvs_equal_spectrum_csvs(tmp_path):
+    exported, spectrum = tmp_path / "mats", tmp_path / "spectrum"
+    assert cli.main(["export-matrix", "--config", write_config(tmp_path, TWO_SITE),
+                     "--out-dir", str(exported)]) == 0
+    assert cli.main(["spectrum", "--config", write_config(tmp_path, TWO_SITE_CSV, "csv.json"),
+                     "--out-dir", str(spectrum)]) == 0
+    terms = _files(exported)
+    assert len(terms) == 7 * 3
+    assert terms == _files(spectrum, "term_*_sector_*.csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum"],
+        ["spectrum", "--config", "{cfg}", "--max-n", "abc"],
+        ["no-such-command", "--config", "{cfg}"],
+        ["solve-pair", "--config", "{cfg}", "--max-n", "3"],
+        ["export-matrix", "--config", "{cfg}", "--max-n", "3"],
+    ],
+    ids=["no-config", "max-n-not-int", "unknown-command", "solve-pair-max-n", "export-max-n"],
+)
+def test_usage_error_exits_1(tmp_path, capsys, argv):
+    # exit 2 means numerical failure; argparse's own usage exit code is 2
+    cfg = write_config(tmp_path, TWO_SITE)
+    out = tmp_path / "o"
+    rc = cli.main([arg.format(cfg=cfg) for arg in argv] + ["--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage: composite-bosons") and "error: " in err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    assert "--max-n" in capsys.readouterr().out
 
 
 def test_config_error_exit_code(tmp_path):

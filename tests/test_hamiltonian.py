@@ -178,11 +178,11 @@ def test_assemble_vacuum_and_single(random_model):
 
     b1 = enumerate_sector(1, space.n_modes, spectrum.n_composites)
     h1 = assemble_hamiltonian(b1, space, spectrum)
-    ss = h1.term(TermId.SS).to_dense()
+    ss = h1.terms[TermId.SS].to_dense()
     assert np.max(np.abs(h1.total.to_dense() - ss)) == 0.0
     for term in TermId:
         if term is not TermId.SS:
-            assert h1.term(term).nnz == 0
+            assert h1.terms[term].nnz == 0
 
 
 def test_two_site_n2_assembled_matrix(two_site):
@@ -209,7 +209,7 @@ def test_atom_block_equals_pair_hamiltonian(two_site):
     basis = enumerate_sector(2, 2, 1)
     ham = assemble_hamiltonian(basis, space, spectrum)
     atom_block = (
-        ham.term(TermId.SS).to_dense() + ham.term(TermId.SSSS).to_dense()
+        ham.terms[TermId.SS].to_dense() + ham.terms[TermId.SSSS].to_dense()
     )[:3, :3]
     assert np.max(np.abs(atom_block - space.pair_hamiltonian().mat)) <= 1e-12
 
@@ -221,8 +221,8 @@ def test_hermiticity_and_adjoint_pairing(random_model, n):
     ham = assemble_hamiltonian(basis, space, spectrum)
     total = ham.total.to_dense()
     assert np.max(np.abs(total - total.T)) <= 1e-12
-    css = ham.term(TermId.CSS).to_dense()
-    ssc = ham.term(TermId.SSC).to_dense()
+    css = ham.terms[TermId.CSS].to_dense()
+    ssc = ham.terms[TermId.SSC].to_dense()
     assert np.array_equal(css, ssc.T)
 
 
@@ -269,7 +269,7 @@ def test_ring6_n6_sector_assembles():
     assert basis.dim == 1715
     assert ham.total.max_abs_asymmetry() <= HERMITICITY_TOL
     for term in TermId:
-        block = ham.term(term).to_csr()
+        block = ham.terms[term].to_csr()
         if term not in (TermId.CSS, TermId.SSC):
             assert abs(block - block.T).max() <= HERMITICITY_TOL, term
 
@@ -491,7 +491,7 @@ def test_blocks_are_bitwise_the_kronecker_form():
             continue
         ham = assemble_hamiltonian(basis, space, spectrum, tensors)
         for term in TermId:
-            _assert_bitwise(ham.term(term), want[term], (name, basis.dim, term))
+            _assert_bitwise(ham.terms[term], want[term], (name, basis.dim, term))
         total = SparseMatrix.from_triples(
             basis.dim,
             *(np.concatenate([getattr(want[t], a) for t in TermId]) for a in ("rows", "cols", "vals")),

@@ -181,13 +181,20 @@ def test_all_bound_below_edge():
     assert np.all(spectrum.energies < spectrum.continuum_edge)
 
 
+def test_mode_space_rejects_mismatched_or_empty_tensors():
+    with pytest.raises(ValueError, match="mode counts differ"):
+        mode_space(np.zeros((2, 2)), np.zeros((3, 3, 3, 3)))
+    with pytest.raises(ValueError, match="at least one mode"):
+        mode_space(np.zeros((0, 0)), np.zeros((0, 0, 0, 0)))
+
+
 def test_custom_pair_operator_hook():
-    # substituting a different Hermitian pair operator changes the composite
+    # solving a different Hermitian pair operator changes the composite
     # definition without touching the one-body edge
     space = two_site_site_basis()
     ph = space.pair_hamiltonian()
     shifted = type(ph)(ph.pairs, ph.mat - 10.0 * np.eye(ph.dim))
-    spectrum = space.solve_composites(BelowEdge(), pair_h=shifted)
+    spectrum = solve_bound_states(shifted, space.one_body, BelowEdge())
     assert spectrum.n_composites == 3
     assert spectrum.energies[0] == pytest.approx(-(2 + 2 * R2) - 10.0, abs=1e-12)
 
