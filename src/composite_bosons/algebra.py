@@ -210,6 +210,15 @@ def _single_op_value(
     space: ModeSpace,
     spectrum: CompositeSpectrum | None,
 ) -> float:
+    """<bra| op |ket> as one einsum over the factors' tensors and the operator.
+
+    Acted-on labels get a bra and a ket letter, spectators one shared letter.
+    The contraction runs as the pairwise steps of its greedy path, planned
+    once per (subscripts, shapes); each step is a plain two-operand
+    ``np.einsum``.  Its values may differ in the last bits from
+    ``np.einsum(expr, *operands, optimize=path)``, which multiplies each
+    pair through ``matmul``.
+    """
     labels = sorted(bra.labels)
     acted = set(_op_labels(op))
     letters = iter(string.ascii_letters)
@@ -241,15 +250,52 @@ def _single_op_value(
         subscripts.append(
             bra_sub[op.a] + bra_sub[op.b] + ket_sub[op.a] + ket_sub[op.b]
         )
-    expr = ",".join(subscripts) + "->"
-    path = _contraction_path(expr, tuple(arr.shape for arr in operands))
-    return float(np.einsum(expr, *operands, optimize=path))
+    return _contract(",".join(subscripts) + "->", operands)
+
+
+def _contract(expr: str, operands: list[np.ndarray]) -> float:
+    """The full contraction ``expr`` of ``operands``, run along its cached steps.
+
+    Each step pops its operands and appends their two-operand einsum, so
+    numpy plans nothing per call.
+    """
+    for positions, subscripts in _contraction_steps(expr, tuple(a.shape for a in operands)):
+        operands.append(np.einsum(subscripts, *[operands.pop(p) for p in positions]))
+    return float(operands[0])
+
+
+def _contraction_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """Greedy contraction order of one subscripts string for operands of ``shapes``."""
+    return np.einsum_path(expr, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
 
 
 @lru_cache(maxsize=None)
-def _contraction_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
-    """Greedy contraction order of one subscripts string, planned once per shapes."""
-    return np.einsum_path(expr, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
+def _contraction_steps(
+    expr: str, shapes: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """The greedy path of ``expr`` as (positions to pop, subscripts) steps.
+
+    Positions are popped in decreasing order.  A step keeps the indices its
+    operands share with the rest or the output, ordered by (dimension,
+    letter), the order ``np.einsum_path`` gives its intermediates.
+    """
+    inputs, output = expr.split("->")
+    remaining = inputs.split(",")
+    size = {c: d for sub, shape in zip(remaining, shapes) for c, d in zip(sub, shape)}
+    path = _contraction_path(expr, shapes)[1:]
+    steps = []
+    for n, pair in enumerate(path):
+        positions = tuple(sorted(pair, reverse=True))
+        picked = [remaining.pop(p) for p in positions]
+        if n == len(path) - 1:
+            kept = output
+        else:
+            wanted = set(output).union(*remaining)
+            kept = "".join(sorted({c for c in "".join(picked) if c in wanted},
+                                  key=lambda c: (size[c], c)))
+        remaining.append(kept)
+        steps.append((positions, ",".join(picked) + "->" + kept))
+    return tuple(steps)
 
 
 def labeled_matrix_element(

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .hamiltonian import (
 from .modespace import CompositeSpectrum, ModeSpace
 from .models import ConfigError, ModelConfig, build_mode_space, load_config
 from .numerics import EigenConvergenceError, NonSymmetricError, sparse_lowest_eigen
-from .oracle import EXPANSION_GUARD, verify_sectors
+from .oracle import EXPANSION_GUARD, Column, report_layout, sweep_columns, verify_sectors
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,46 +85,154 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _check_row(row: dict) -> str:
-    """One row of ``checks`` in the layout :func:`dump_json` gives it."""
+class _Quoted(dict):
+    """JSON-quoted strings, each quoted once."""
+
+    def __missing__(self, key: str) -> str:
+        text = self[key] = _quote(key)
+        return text
+
+
+_ZERO_VALUES = ',\n      "sq_value": 0,\n      "oracle_value": 0,\n      "abs_diff": 0\n    }'
+
+
+def _values(sq: float, oracle: float, diff: float) -> str:
     return (
-        f'    {{\n      "term": {_quote(row["term"])},\n'
-        f'      "sector": {row["sector"]:d},\n'
-        f'      "bra": {_quote(row["bra"])},\n'
-        f'      "ket": {_quote(row["ket"])},\n'
-        f'      "sq_value": {_format_float(row["sq_value"])},\n'
-        f'      "oracle_value": {_format_float(row["oracle_value"])},\n'
-        f'      "abs_diff": {_format_float(row["abs_diff"])}\n    }}'
+        f',\n      "sq_value": {_format_float(sq)},\n'
+        f'      "oracle_value": {_format_float(oracle)},\n'
+        f'      "abs_diff": {_format_float(diff)}\n    }}'
     )
+
+
+class _RowFormatter:
+    """Rows of ``checks`` in the layout :func:`dump_json` gives them.
+
+    The head of each (term, sector) and each quoted state name are built
+    once.  Rows whose three values are all +0.0, most rows of a sweep, share
+    one constant tail; -0.0 takes the general path, since it prints as
+    ``-0``.
+    """
+
+    def __init__(self) -> None:
+        self._heads: dict[tuple[str, int], str] = {}
+        self._names = _Quoted()
+
+    def __call__(
+        self,
+        term: str,
+        sector: int,
+        ket: str,
+        bras: Iterable[str],
+        sqs: Iterable[float],
+        oracles: Iterable[float],
+        diffs: Iterable[float],
+    ) -> str:
+        """The rows of one ket, one per bra, joined by ``",\n"``."""
+        head = self._heads.get((term, sector))
+        if head is None:
+            head = self._heads[term, sector] = (
+                f'    {{\n      "term": {_quote(term)},\n'
+                f'      "sector": {sector:d},\n      "bra": '
+            )
+        names = self._names
+        ket_part = f',\n      "ket": {names[ket]}'
+        zero_part = ket_part + _ZERO_VALUES
+        copysign = math.copysign
+        return ",\n".join([
+            head + names[bra] + (
+                zero_part
+                if not (sq or oracle or diff)
+                and copysign(1.0, sq) + copysign(1.0, oracle) + copysign(1.0, diff) == 3.0
+                else ket_part + _values(sq, oracle, diff)
+            )
+            for bra, sq, oracle, diff in zip(bras, sqs, oracles, diffs)
+        ])
+
+
+def _write_report(write: Callable[[str], object], report: dict) -> None:
+    """Write ``report`` in :func:`dump_json`'s layout, and a newline.
+
+    ``report["checks"]`` holds the text of the rows, in chunks of one or
+    more rows joined by ``",\n"``; each chunk is written as it comes, and
+    the members after it are formatted only then, so a summary the chunks
+    fill in as they run is written complete.
+    """
+    for n, (key, value) in enumerate(report.items()):
+        write(f"{',' if n else '{'}\n  {_quote(key)}: ")
+        if key == "checks":
+            opening = "[\n"
+            for chunk in value:
+                write(opening)
+                write(chunk)
+                opening = ",\n"
+            write("[]" if opening == "[\n" else "\n  ]")
+        else:
+            write(dump_json(value, 1))
+    write("\n}\n")
 
 
 def verification_text(report: dict) -> str:
     """``dump_json(report)`` and a newline, for a :func:`verify_sectors` report.
 
-    The check rows have a fixed seven-field layout and are formatted by
-    :func:`_check_row`; the other members go through :func:`dump_json`.  The
-    pieces are joined once, so the text is not copied again.
+    The check rows go through the row formatter ``cli verify`` streams with;
+    the other members go through :func:`dump_json`.
     """
-    pieces = ["{"]
-    for n, (key, value) in enumerate(report.items()):
-        pieces.append(f"{',' if n else ''}\n  {_quote(key)}: ")
-        if key == "checks" and value:
-            for m, row in enumerate(value):
-                pieces.append(",\n" if m else "[\n")
-                pieces.append(_check_row(row))
-            pieces.append("\n  ]")
-        else:
-            pieces.append(dump_json(value, 1))
-    pieces.append("\n}\n")
+    format_rows = _RowFormatter()
+    rows = (
+        format_rows(r["term"], r["sector"], r["ket"], (r["bra"],),
+                    (r["sq_value"],), (r["oracle_value"],), (r["abs_diff"],))
+        for r in report["checks"]
+    )
+    pieces: list[str] = []
+    _write_report(pieces.append, {**report, "checks": rows})
     return "".join(pieces)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_verification(write: Callable[[str], object], columns: Iterable[Column]) -> dict:
+    """Write the verification report of ``columns`` as they are computed.
+
+    Each column's rows are formatted and written before the next column is
+    asked for, so memory does not grow with the row count.  The text is the
+    one :func:`verification_text` gives for ``verify_sectors`` over the same
+    sweep.  Returns the summary.
+    """
+    summary = {"max_abs_diff": 0.0, "pairs_checked": 0}
+    format_rows = _RowFormatter()
+
+    def rows() -> Iterator[str]:
+        for col in columns:
+            summary["max_abs_diff"] = max(summary["max_abs_diff"], *col.diff)
+            summary["pairs_checked"] += len(col.diff)
+            yield format_rows(col.term, col.sector, col.ket, col.bras, col.sq, col.oracle, col.diff)
+
+    _write_report(write, report_layout(rows(), summary))
+    return summary
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[Callable[[str], object]]:
+    """A writer whose text replaces ``path`` only once all of it is written.
+
+    The text goes to a temporary file beside ``path``, renamed over it on
+    success and removed on any failure, so an earlier ``path`` is never
+    left half written.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with open(tmp, "w") as f:
+            yield f.write
+        os.replace(tmp, path)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _replacing(path) as write:
+        write(text)
 
 
 def _config_echo(config: ModelConfig) -> dict:
@@ -281,17 +391,16 @@ def _write_term_csvs(out_dir: Path, n: int, ham: SparseHamiltonian) -> None:
 def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
     _check_max_n(max_n)
     space, spectrum = _solve(config)
-    report = verify_sectors(space, spectrum, range(max_n + 1))
-    text = verification_text(report)
-    if out_dir is not None:
-        _write_text(out_dir / "verification.json", text)
-    summary = report["summary"]
+    columns = sweep_columns(space, spectrum, range(max_n + 1))
+    if out_dir is None:
+        summary = _write_verification(sys.stdout.write, columns)
+    else:
+        with _replacing(out_dir / "verification.json") as write:
+            summary = _write_verification(write, columns)
     sys.stderr.write(
         f"verified {summary['pairs_checked']} matrix elements, "
         f"max |sq - oracle| = {summary['max_abs_diff']:.3e}\n"
     )
-    if out_dir is None:
-        sys.stdout.write(text)
     return _verify_status(summary)
 
 

@@ -206,7 +206,7 @@ ANNIHILATOR_GROUPS: tuple[tuple[Species, ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnihilatorLadder:
     """The nonzero ``<image| a_{i_1} a_{i_2} ... |state>`` of one group on a basis.
 

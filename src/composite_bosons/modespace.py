@@ -29,7 +29,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneBodyTensor:
     """Real symmetric single-particle operator in the unbound-mode basis."""
 
@@ -44,7 +44,7 @@ class OneBodyTensor:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoBodyTensor:
     """Two-particle interaction tensor ``T4[m, n, p, q]``.
 
@@ -81,7 +81,7 @@ def symmetric_pairs(n_modes: int) -> tuple[tuple[int, int], ...]:
     return tuple((p, q) for p in range(n_modes) for q in range(p, n_modes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairHamiltonian:
     """Two-particle Hamiltonian on the symmetric (bosonic) pair subspace.
 
@@ -167,7 +167,7 @@ class LowestK:
 BoundPolicy = BelowEdge | LowestK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeSpectrum:
     """Bound pair eigenstates: energies and pair-coefficient tensors.
 
@@ -274,7 +274,7 @@ def solve_bound_states(
     return CompositeSpectrum(values[selected], coeffs, edge)
 
 
-@dataclass
+@dataclass(eq=False)
 class ModeSpace:
     """The one-body and two-body model tensors over ``n_modes`` unbound modes."""
 

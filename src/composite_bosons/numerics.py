@@ -95,7 +95,7 @@ def row_sorted_csr(rows, cols, vals, shape: tuple[int, int]) -> sp.csr_matrix:
     return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """Square sparse matrix in canonical coordinate storage.
 

@@ -20,8 +20,9 @@ model or one sweep.
 :func:`apply_projected_term` collects the core's output products.
 :func:`oracle_matrix_element` applies a term to every labeled product of the
 ket's expansion and takes the ideal inner product with the bra's expansion;
-it is the brute-force reference.  :func:`verify_sectors` reads the same
-emission core directly and uses two closed forms of those expansions:
+it is the brute-force reference.  :func:`sweep_columns` reads the same
+emission core directly, yields each ket's column of each term block beside
+the second-quantized one, and uses two closed forms of those expansions:
 
 * Each projected term sums over all label choices, so it commutes with
   relabeling, and every bra expansion is a symmetric sum; hence <B|H|p> is
@@ -36,13 +37,15 @@ emission core directly and uses two closed forms of those expansions:
   w_B = c_B * prod(n_m!) * prod(k_a! 2^k_a), c_B the normalization constant:
   the count of label permutations that fix one labeled product.  No output
   product is built.
+
+:func:`verify_sectors` collects the sweep's columns into a report dict.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     Atom,
@@ -413,16 +416,28 @@ def oracle_matrix_element(
 # Full-sweep verification against the second-quantized construction.
 
 
-def verify_sectors(
+class Column(NamedTuple):
+    """One ket's column of one term block on one sector, read both ways."""
+
+    term: str
+    sector: int
+    bras: list[str]  # the names of the sector's states, in bra order
+    ket: str
+    sq: list[float]
+    oracle: list[float]
+    diff: list[float]  # |sq - oracle| per bra
+
+
+def sweep_columns(
     space: ModeSpace,
     spectrum: CompositeSpectrum,
     sector_numbers: Iterable[int],
     terms: Sequence[TermId] = tuple(TermId),
-    include_rows: bool = True,
-) -> dict:
-    """Compare every term matrix element on full sectors against the oracle.
+) -> Iterator[Column]:
+    """Every column of every term block on the given sectors, sq beside oracle.
 
-    Each term is applied to one labeled representative per ket, the
+    Columns come term by term within a sector, kets in basis order.  Each
+    term is applied to one labeled representative per ket, the
     identity-permutation product weighted by N! times the normalization
     constant (the sum of the expansion's weights).  This is exact because the
     projected terms commute with relabeling and the bra expansions are
@@ -433,21 +448,17 @@ def verify_sectors(
     expansion and no output product is built, and the column is bitwise the
     one :func:`apply_projected_term` would give.
 
-    One memo serves the whole call: the blueprint plan of each (term, label
+    One memo serves the whole sweep: the blueprint plan of each (term, label
     layout), and the emissions of each (term, operators, matched factors),
     are computed once and reused by every ket, sector and term that meets
     them, so no (bra, operators, ket) fragment reaches the engine twice.
-    Each term block is read once as Python floats.
-
-    Returns a report dict with one row per (term, bra, ket) and a summary;
-    structure is stable for JSON serialization.
+    Each term block is read once as Python floats.  Nothing else is kept
+    from one column to the next, so a consumer that does not keep the
+    columns runs in memory that does not grow with their number.
     """
     eng = ElementEngine(space, spectrum)
     memo: dict = {}
     tensors = coefficient_tensors(space, spectrum)
-    rows: list[dict] = []
-    max_diff = 0.0
-    checked = 0
     for n in sector_numbers:
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
         names = [str(s) for s in basis.states]
@@ -457,32 +468,57 @@ def verify_sectors(
             for i, s in enumerate(basis.states)
         }
         for term in terms:
-            name = term.value
-            block = build_term(term, basis, space, spectrum, tensors).to_dense().tolist()
+            sq_columns = build_term(term, basis, space, spectrum, tensors).to_dense().T.tolist()
             for j, (ket, rep) in enumerate(zip(basis.states, representatives)):
-                column = _oracle_column(term, ket, rep, index, basis.dim, eng, memo)
-                for i, oracle_value in enumerate(column):
-                    sq_value = block[i][j]
-                    diff = abs(sq_value - oracle_value)
-                    if diff > max_diff:
-                        max_diff = diff
-                    checked += 1
-                    if include_rows:
-                        rows.append(
-                            {
-                                "term": name,
-                                "sector": n,
-                                "bra": names[i],
-                                "ket": names[j],
-                                "sq_value": sq_value,
-                                "oracle_value": oracle_value,
-                                "abs_diff": diff,
-                            }
-                        )
-    report = {
+                sq = sq_columns[j]
+                oracle = _oracle_column(term, ket, rep, index, basis.dim, eng, memo)
+                diff = [abs(s - o) for s, o in zip(sq, oracle)]
+                yield Column(term.value, n, names, names[j], sq, oracle, diff)
+
+
+def report_layout(checks, summary) -> dict:
+    """The members of a verification report, in the order they are written."""
+    return {
         "schema_version": 1,
         "conventions": dict(TERM_READING),
-        "checks": rows,
-        "summary": {"max_abs_diff": max_diff, "pairs_checked": checked},
+        "checks": checks,
+        "summary": summary,
     }
-    return report
+
+
+def verify_sectors(
+    space: ModeSpace,
+    spectrum: CompositeSpectrum,
+    sector_numbers: Iterable[int],
+    terms: Sequence[TermId] = tuple(TermId),
+    include_rows: bool = True,
+) -> dict:
+    """Compare every term matrix element on full sectors against the oracle.
+
+    Builds the report from :func:`sweep_columns`: one row per (term, bra,
+    ket) in sweep order, unless ``include_rows`` is false, and a summary of
+    the largest difference and the number of elements checked.  The report
+    holds every row, so its size grows with the sectors; ``cli verify``
+    writes the same text from the columns as they come instead.  Structure
+    is stable for JSON serialization.
+    """
+    rows: list[dict] = []
+    max_diff = 0.0
+    checked = 0
+    for col in sweep_columns(space, spectrum, sector_numbers, terms):
+        max_diff = max(max_diff, *col.diff)
+        checked += len(col.diff)
+        if include_rows:
+            rows.extend(
+                {
+                    "term": col.term,
+                    "sector": col.sector,
+                    "bra": bra,
+                    "ket": col.ket,
+                    "sq_value": sq_value,
+                    "oracle_value": oracle_value,
+                    "abs_diff": diff,
+                }
+                for bra, sq_value, oracle_value, diff in zip(col.bras, col.sq, col.oracle, col.diff)
+            )
+    return report_layout(rows, {"max_abs_diff": max_diff, "pairs_checked": checked})

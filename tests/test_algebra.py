@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composite_bosons import algebra
 from composite_bosons.algebra import (
     Atom,
     ElementEngine,
@@ -16,7 +17,8 @@ from composite_bosons.algebra import (
     pair_interaction_ops,
 )
 from composite_bosons.modespace import BelowEdge, LowestK, mode_space
-from composite_bosons.models import random_mode_space
+from composite_bosons.models import build_explicit_model, random_mode_space
+from composite_bosons.oracle import verify_sectors
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +354,43 @@ def test_engine_keys_operators_and_ket_of_consecutive_calls():
     # a bra label outside the ket and the operators still raises
     with pytest.raises(ValueError, match="label sets differ"):
         eng.element(FormalProduct(1.0, (Atom(2, 1), Pair(0, (2, 4)))), op_lists[2], kets[1])
+
+
+def test_step_plan_matches_planned_einsum(monkeypatch):
+    # the oracle-verify model: the seeded random model as an explicit config
+    space = build_explicit_model(
+        RANDOM_SPACE.one_body.mat.tolist(), np.asarray(RANDOM_SPACE.two_body.t4).ravel().tolist()
+    )
+    spectrum = space.solve_composites(LowestK(2))
+    planned = set()
+    calls = {"element": 0, "contract": 0}
+    steps, element, contract = (
+        algebra._contraction_steps, ElementEngine.element, algebra.labeled_matrix_element
+    )
+
+    def recording_steps(expr, shapes):
+        planned.add((expr, shapes))
+        return steps(expr, shapes)
+
+    def counting_element(*args):
+        calls["element"] += 1
+        return element(*args)
+
+    def counting_contract(*args):
+        calls["contract"] += 1
+        return contract(*args)
+
+    monkeypatch.setattr(algebra, "_contraction_steps", recording_steps)
+    monkeypatch.setattr(ElementEngine, "element", counting_element)
+    monkeypatch.setattr(algebra, "labeled_matrix_element", counting_contract)
+    report = verify_sectors(space, spectrum, range(6), include_rows=False)
+    assert report["summary"]["pairs_checked"] == 26110
+    assert calls == {"element": 1513, "contract": 192}
+    assert len(planned) > 10
+
+    rng = np.random.default_rng(20240)
+    for expr, shapes in sorted(planned):
+        operands = [rng.standard_normal(shape) for shape in shapes]
+        want = np.einsum(expr, *operands, optimize=algebra._contraction_path(expr, shapes))
+        got = algebra._contract(expr, list(operands))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), expr

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from composite_bosons import cli
 from composite_bosons.modespace import LowestK
 from composite_bosons.models import build_ring_model, random_mode_space
-from composite_bosons.oracle import verify_sectors
+from composite_bosons.oracle import Column, verify_sectors
 
 
 TWO_SITE = {
@@ -17,6 +18,17 @@ TWO_SITE = {
 }
 
 TWO_SITE_CSV = {**TWO_SITE, "output": {"formats": ["json", "csv"]}}
+
+_RANDOM_SPACE = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
+# the seeded random model as an explicit config, as the oracle-verify benchmark runs it
+RANDOM_EXPLICIT = {
+    "model": {
+        "type": "explicit",
+        "O": _RANDOM_SPACE.one_body.mat.tolist(),
+        "T4": np.asarray(_RANDOM_SPACE.two_body.t4).ravel().tolist(),
+    },
+    "bound": {"policy": "lowest_k", "k": 2},
+}
 
 U_ZERO = {
     "model": {"type": "ring", "sites": 2, "t": 1.0, "U": 0.0},
@@ -111,17 +123,76 @@ def test_verify_two_site(tmp_path):
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TWO_SITE)
 
-    def fake_verify(space, spectrum, sectors):
-        return {
-            "schema_version": 1,
-            "conventions": {},
-            "checks": [],
-            "summary": {"max_abs_diff": 1e-6, "pairs_checked": 1},
-        }
+    def fake_sweep(space, spectrum, sectors):
+        yield Column("SS", 0, ["|0 ; 0⟩"], "|0 ; 0⟩", [1e-6], [0.0], [1e-6])
 
-    monkeypatch.setattr(cli, "verify_sectors", fake_verify)
+    monkeypatch.setattr(cli, "sweep_columns", fake_sweep)
     rc = cli.main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 3
+    report = json.loads((tmp_path / "o" / "verification.json").read_text())
+    assert report["summary"] == {"max_abs_diff": 1e-6, "pairs_checked": 1}
+
+
+@pytest.mark.parametrize("doc, max_n", [(TWO_SITE, 3), (RANDOM_EXPLICIT, 5)], ids=["two-site", "random"])
+def test_verify_streams_verification_text(tmp_path, capsys, doc, max_n):
+    cfg = write_config(tmp_path, doc)
+    space, spectrum = cli._solve(cli.load_config(json.dumps(doc)))
+    want = cli.verification_text(verify_sectors(space, spectrum, range(max_n + 1)))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", str(max_n)]) == 0
+    assert (out / "verification.json").read_bytes() == want.encode("ascii")
+    assert [p.name for p in out.iterdir()] == ["verification.json"]
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg, "--max-n", str(max_n)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def _sweep_failing_with(kind):
+    def sweep(space, spectrum, sectors):
+        yield Column("SS", 0, ["a", "b"], "a", [1.0, 0.0], [1.0, 0.0], [0.0, 0.0])
+        if kind == "non-finite":
+            yield Column("SS", 0, ["a", "b"], "b", [0.0, 1.0], [0.0, math.nan], [0.0, math.nan])
+        else:
+            raise OSError(28, "No space left on device")
+
+    return sweep
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "oserror-mid-stream", "oserror-on-replace"])
+def test_verify_failure_keeps_earlier_report(tmp_path, monkeypatch, capsys, kind):
+    cfg = write_config(tmp_path, TWO_SITE)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", "2"]) == 0
+    before = (out / "verification.json").read_bytes()
+    if kind == "oserror-on-replace":
+        def refuse(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+    else:
+        monkeypatch.setattr(cli, "sweep_columns", _sweep_failing_with(kind))
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", "3"]) == 1
+    assert ("non-finite" if kind == "non-finite" else "cannot write") in capsys.readouterr().err
+    assert (out / "verification.json").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["verification.json"]
+
+
+def test_verify_memory_stays_below_half_the_report(tmp_path):
+    # the rows are written as the sweep computes them, so the traced peak
+    # does not grow with the report (a buffered report peaks at about 4x it)
+    cfg = write_config(tmp_path, RANDOM_EXPLICIT)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", "5"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    size = (out / "verification.json").stat().st_size
+    assert size > 5_000_000
+    assert peak < size / 2, (peak, size)
 
 
 def test_hermiticity_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -198,16 +269,7 @@ def test_spectrum_refuses_max_n_before_assembly(tmp_path, monkeypatch, max_n):
 
 
 def test_verify_deterministic(tmp_path):
-    space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
-    doc = {
-        "model": {
-            "type": "explicit",
-            "O": space.one_body.mat.tolist(),
-            "T4": np.asarray(space.two_body.t4).ravel().tolist(),
-        },
-        "bound": {"policy": "lowest_k", "k": 2},
-    }
-    cfg = write_config(tmp_path, doc)
+    cfg = write_config(tmp_path, RANDOM_EXPLICIT)
     texts = []
     for run in ("a", "b"):
         out = tmp_path / run

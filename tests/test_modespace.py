@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from composite_bosons.fock import enumerate_sector
+from composite_bosons.hamiltonian import assemble_hamiltonian
+from composite_bosons.models import build_ring_model
 from composite_bosons.modespace import (
     BelowEdge,
     CompositeSpectrum,
@@ -206,3 +209,20 @@ def test_spectrum_invariant_violations_rejected():
         )
     with pytest.raises(ValueError, match="below the continuum edge"):
         CompositeSpectrum(np.array([1.0]), np.zeros((1, 2, 2)), continuum_edge=0.0)
+
+
+def test_array_holders_compare_by_identity():
+    # the generated field-wise __eq__ compared numpy arrays and raised
+    def build():
+        space = build_ring_model(4, 1.0, -8.0)
+        spectrum = space.solve_composites(LowestK(1))
+        basis = enumerate_sector(2, space.n_modes, spectrum.n_composites)
+        ham = assemble_hamiltonian(basis, space, spectrum)
+        ladder = next(iter(basis.annihilator_ladders.groups.values()))
+        return [space, space.one_body, space.two_body, space.pair_hamiltonian(),
+                spectrum, ham.total, ladder]
+
+    first, second = build(), build()
+    for a, b in zip(first, second):
+        assert (a == b) is False, type(a).__name__
+        assert (a == a) is True, type(a).__name__
