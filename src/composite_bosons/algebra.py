@@ -15,6 +15,7 @@ evaluation are deliberately kept apart:
 from __future__ import annotations
 
 import string
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
@@ -206,11 +207,14 @@ def _operand_for_factor(
 def _single_op_value(
     bra: FormalProduct,
     op: Operator,
+    tensor: np.ndarray,
     ket: FormalProduct,
     space: ModeSpace,
     spectrum: CompositeSpectrum | None,
 ) -> float:
-    """<bra| op |ket> as one einsum over the factors' tensors and the operator.
+    """<bra| op |ket> as one einsum over the factors' tensors and ``tensor``,
+    the operator's array (``O`` for a one-body operator, a ``T4``-shaped one
+    for a two-body operator).
 
     Acted-on labels get a bra and a ket letter, spectators one shared letter.
     The contraction runs as the pairwise steps of its greedy path, planned
@@ -242,15 +246,31 @@ def _single_op_value(
         arr, sub = _operand_for_factor(f, ket_sub, space, spectrum)
         operands.append(arr)
         subscripts.append(sub)
+    operands.append(tensor)
     if isinstance(op, OneBody):
-        operands.append(space.one_body.mat)
         subscripts.append(bra_sub[op.label] + ket_sub[op.label])
     else:
-        operands.append(space.two_body.t4)
-        subscripts.append(
-            bra_sub[op.a] + bra_sub[op.b] + ket_sub[op.a] + ket_sub[op.b]
-        )
+        subscripts.append(bra_sub[op.a] + bra_sub[op.b] + ket_sub[op.a] + ket_sub[op.b])
     return _contract(",".join(subscripts) + "->", operands)
+
+
+def _fused(ops: Sequence[Operator]) -> list[tuple[Operator, bool, bool]]:
+    """``sum(ops)`` as (operator, O on its first label, O on its second).
+
+    Each one-body operator is folded into the first two-body operator on
+    its label; one-body operators left over stay on their own.  O(i) + O(j)
+    + T(i, j) becomes T(i, j) with O on both labels, one contraction.
+    """
+    loose = Counter(op.label for op in ops if isinstance(op, OneBody))
+    fused: list[tuple[Operator, bool, bool]] = []
+    for op in ops:
+        if isinstance(op, TwoBody):
+            first, second = loose[op.a] > 0, loose[op.b] > 0
+            loose[op.a] -= first
+            loose[op.b] -= second
+            fused.append((op, first, second))
+    fused.extend((OneBody(label), False, False) for label, n in loose.items() for _ in range(n))
+    return fused
 
 
 def _contract(expr: str, operands: list[np.ndarray]) -> float:
@@ -308,8 +328,11 @@ def labeled_matrix_element(
     """Exact contraction <bra| sum(ops) |ket> over matching label sets.
 
     Pairs are expanded through the composite coefficient tensors; spectator
-    labels are delta-matched between bra and ket.  Linear in the operator
-    list and symmetric under bra/ket exchange (real tensors).
+    labels are delta-matched between bra and ket.  Each one-body operator is
+    folded into a two-body operator on its label (``ModeSpace.pair_operator``),
+    so O(i) + O(j) + T(i, j) is one contraction; the sum then differs from
+    the per-operator sum by roundoff only.  Linear in the operator list and
+    symmetric under bra/ket exchange (real tensors).
     """
     if bra.labels != ket.labels:
         raise ValueError(
@@ -321,8 +344,12 @@ def labeled_matrix_element(
         if missing:
             raise ValueError(f"operator acts on labels {sorted(missing)} not in the products")
     total = 0.0
-    for op in ops:
-        total += _single_op_value(bra, op, ket, space, spectrum)
+    for op, first, second in _fused(ops):
+        if isinstance(op, OneBody):
+            tensor = space.one_body.mat
+        else:
+            tensor = space.pair_operator(first, second)
+        total += _single_op_value(bra, op, tensor, ket, space, spectrum)
     return bra.weight * ket.weight * total
 
 

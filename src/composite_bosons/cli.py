@@ -40,6 +40,7 @@ EXIT_VERIFY = 3
 VERIFY_TOL = 1e-10
 REPORT_SCHEMA_VERSION = 1
 _EIGENVALUES_PER_SECTOR = 6
+_WRITE_BUFFER = 1 << 20  # bytes; a report of several MB goes out in few system calls
 
 
 class OutputError(RuntimeError):
@@ -109,44 +110,55 @@ class _RowFormatter:
 
     The head of each (term, sector) and each quoted state name are built
     once.  Rows whose three values are all +0.0, most rows of a sweep, share
-    one constant tail; -0.0 takes the general path, since it prints as
-    ``-0``.
+    one constant tail, and each run of them between two other rows is
+    written by one ``str.join`` over the quoted bra names; the caller names
+    the other rows (``Column.rows``), since -0.0 prints as ``-0``.
     """
 
     def __init__(self) -> None:
         self._heads: dict[tuple[str, int], str] = {}
         self._names = _Quoted()
+        self._bras: Sequence[str] = ()
+        self._quoted: list[str] = []
 
     def __call__(
         self,
         term: str,
         sector: int,
         ket: str,
-        bras: Iterable[str],
-        sqs: Iterable[float],
-        oracles: Iterable[float],
-        diffs: Iterable[float],
+        bras: Sequence[str],
+        sqs: Sequence[float],
+        oracles: Sequence[float],
+        diffs: Sequence[float],
+        rows: Sequence[int] | None = None,
     ) -> str:
-        """The rows of one ket, one per bra, joined by ``",\n"``."""
+        """The rows of one ket, one per bra, joined by ``",\n"``.
+
+        ``rows`` lists, ascending, the bra positions outside which all three
+        values are +0.0; None lists them all.  A listed row of zeros comes
+        out as the shared tail does, so listing more rows only costs time.
+        """
         head = self._heads.get((term, sector))
         if head is None:
             head = self._heads[term, sector] = (
                 f'    {{\n      "term": {_quote(term)},\n'
                 f'      "sector": {sector:d},\n      "bra": '
             )
-        names = self._names
-        ket_part = f',\n      "ket": {names[ket]}'
-        zero_part = ket_part + _ZERO_VALUES
-        copysign = math.copysign
-        return ",\n".join([
-            head + names[bra] + (
-                zero_part
-                if not (sq or oracle or diff)
-                and copysign(1.0, sq) + copysign(1.0, oracle) + copysign(1.0, diff) == 3.0
-                else ket_part + _values(sq, oracle, diff)
-            )
-            for bra, sq, oracle, diff in zip(bras, sqs, oracles, diffs)
-        ])
+        if bras != self._bras:  # the columns of a sector share their bras
+            self._bras, self._quoted = bras, [self._names[bra] for bra in bras]
+        quoted = self._quoted
+        ket_part = f',\n      "ket": {self._names[ket]}'
+        zero_tail = ket_part + _ZERO_VALUES
+        zero_gap = zero_tail + ",\n" + head
+        pieces = []
+        start = 0
+        for row in [*(range(len(quoted)) if rows is None else rows), len(quoted)]:
+            if row > start:
+                pieces.append(head + zero_gap.join(quoted[start:row]) + zero_tail)
+            if row < len(quoted):
+                pieces.append(head + quoted[row] + ket_part + _values(sqs[row], oracles[row], diffs[row]))
+            start = row + 1
+        return ",\n".join(pieces)
 
 
 def _write_report(write: Callable[[str], object], report: dict) -> None:
@@ -203,7 +215,9 @@ def _write_verification(write: Callable[[str], object], columns: Iterable[Column
         for col in columns:
             summary["max_abs_diff"] = max(summary["max_abs_diff"], *col.diff)
             summary["pairs_checked"] += len(col.diff)
-            yield format_rows(col.term, col.sector, col.ket, col.bras, col.sq, col.oracle, col.diff)
+            yield format_rows(
+                col.term, col.sector, col.ket, col.bras, col.sq, col.oracle, col.diff, col.rows
+            )
 
     _write_report(write, report_layout(rows(), summary))
     return summary
@@ -220,7 +234,7 @@ def _replacing(path: Path) -> Iterator[Callable[[str], object]]:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w") as f:
+        with open(tmp, "w", buffering=_WRITE_BUFFER) as f:
             yield f.write
         os.replace(tmp, path)
     except OSError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,8 +104,12 @@ class PairHamiltonian:
         return len(self.pairs)
 
 
+@lru_cache(maxsize=None)
 def pair_isometry(n_modes: int) -> Matrix:
-    """Isometry from the symmetric pair basis into the full two-particle space."""
+    """Isometry from the symmetric pair basis into the full two-particle space.
+
+    Built once per mode count; the array is read-only.
+    """
     pairs = symmetric_pairs(n_modes)
     s = np.zeros((n_modes * n_modes, len(pairs)))
     for col, (p, q) in enumerate(pairs):
@@ -113,6 +118,7 @@ def pair_isometry(n_modes: int) -> Matrix:
         else:
             s[p * n_modes + q, col] = 1.0 / math.sqrt(2.0)
             s[q * n_modes + p, col] = 1.0 / math.sqrt(2.0)
+    s.setflags(write=False)
     return s
 
 
@@ -224,8 +230,7 @@ class CompositeSpectrum:
 
 def continuum_edge(one_body: OneBodyTensor) -> float:
     """Minimum energy of two non-interacting constituents."""
-    values, _ = dense_symmetric_eigen(one_body.mat)
-    return float(2.0 * values[0])
+    return float(2.0 * np.linalg.eigh(one_body.mat)[0][0])
 
 
 def solve_bound_states(
@@ -243,14 +248,14 @@ def solve_bound_states(
         margin = policy.margin
         if margin is None:
             margin = 1e-8 * abs(edge) + 1e-12
-        selected = [i for i, v in enumerate(values) if v < edge - margin]
+        selected = np.flatnonzero(values < edge - margin)
     elif isinstance(policy, LowestK):
         if policy.k > len(values):
             raise ValueError(
                 f"lowest_k requests {policy.k} states but the pair subspace has "
                 f"dimension {len(values)}"
             )
-        selected = list(range(policy.k))
+        selected = np.arange(policy.k)
         for i in selected:
             if values[i] >= edge:
                 raise ValueError(
@@ -262,15 +267,13 @@ def solve_bound_states(
 
     m = one_body.n_modes
     coeffs = np.zeros((len(selected), m, m))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for out_idx, col in enumerate(selected):
-        vec = vectors[:, col]
-        for row, (p, q) in enumerate(pair_h.pairs):
-            if p == q:
-                coeffs[out_idx, p, p] = vec[row]
-            else:
-                coeffs[out_idx, p, q] = vec[row] * inv_sqrt2
-                coeffs[out_idx, q, p] = vec[row] * inv_sqrt2
+    p, q = np.array(pair_h.pairs, dtype=np.intp).reshape(-1, 2).T
+    diagonal = p == q
+    chosen = vectors[:, selected]
+    coeffs[:, p[diagonal], p[diagonal]] = chosen[diagonal].T
+    off = chosen[~diagonal].T * (1.0 / math.sqrt(2.0))
+    coeffs[:, p[~diagonal], q[~diagonal]] = off
+    coeffs[:, q[~diagonal], p[~diagonal]] = off
     return CompositeSpectrum(values[selected], coeffs, edge)
 
 
@@ -281,6 +284,9 @@ class ModeSpace:
     one_body: OneBodyTensor
     two_body: TwoBodyTensor
     _one_hot: Matrix = field(init=False, repr=False, compare=False)
+    _pair_operators: dict[tuple[bool, bool], NDArray[np.float64]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if self.one_body.n_modes != self.two_body.n_modes:
@@ -295,6 +301,19 @@ class ModeSpace:
 
     def one_hot(self, mode: int) -> Matrix:
         return self._one_hot[mode]
+
+    def pair_operator(self, first: bool, second: bool) -> NDArray[np.float64]:
+        """``T4`` plus O on particle 1 if ``first`` and on particle 2 if
+        ``second``, indexed as ``T4``; built once per choice, read-only."""
+        fused = self._pair_operators.get((first, second))
+        if fused is None:
+            fused = np.array(self.two_body.t4)
+            if first:
+                fused += np.einsum("mp,nq->mnpq", self.one_body.mat, self._one_hot)
+            if second:
+                fused += np.einsum("mp,nq->mnpq", self._one_hot, self.one_body.mat)
+            fused = self._pair_operators[first, second] = _readonly(fused)
+        return fused
 
     def pair_hamiltonian(self) -> PairHamiltonian:
         return build_pair_hamiltonian(self.one_body, self.two_body)

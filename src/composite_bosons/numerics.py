@@ -46,13 +46,13 @@ def require_symmetric(mat: Matrix, tol: float = SYMMETRY_TOL, name: str = "matri
 
 
 def _fix_signs(vectors: Matrix) -> Matrix:
-    vectors = vectors.copy()
-    for col in range(vectors.shape[1]):
-        v = vectors[:, col]
-        big = np.nonzero(np.abs(v) > _SIGN_TOL)[0]
-        if big.size and v[big[0]] < 0.0:
-            vectors[:, col] = -v
-    return vectors
+    """Each column negated where its first entry of magnitude above
+    ``_SIGN_TOL`` is negative."""
+    if not vectors.size:
+        return vectors.copy()
+    big = np.abs(vectors) > _SIGN_TOL
+    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    return np.where(big.any(axis=0) & (lead < 0.0), -vectors, vectors)
 
 
 def _order_degenerate(values: Matrix, vectors: Matrix) -> tuple[Matrix, Matrix]:
@@ -62,14 +62,14 @@ def _order_degenerate(values: Matrix, vectors: Matrix) -> tuple[Matrix, Matrix]:
     if n == 0:
         return values, vectors
     tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
-    order: list[int] = []
+    order = np.arange(n)
     i = 0
     while i < n:
         j = i
         while j + 1 < n and values[j + 1] - values[i] <= tol:
             j += 1
-        group = sorted(range(i, j + 1), key=lambda c: tuple(vectors[:, c]))
-        order.extend(group)
+        if j > i:
+            order[i : j + 1] = sorted(range(i, j + 1), key=lambda c: tuple(vectors[:, c]))
         i = j + 1
     return values, vectors[:, order]
 
@@ -203,11 +203,15 @@ class SparseMatrix:
         return self._asymmetry
 
     def to_coordinate_csv(self) -> str:
+        # each distinct value is formatted once; keyed by its bits, so -0.0
+        # (printed as -0) stays apart from 0.0
+        bits, which = np.unique(self.vals.view(np.int64), return_inverse=True)
+        texts = [f"{v:.17g}" for v in memoryview(bits.view(np.float64))]
         lines = ["row,col,value"]
-        # memoryviews yield Python ints and floats one at a time: formatting
-        # them skips numpy's scalar formatting without whole-array lists
-        for r, c, v in zip(memoryview(self.rows), memoryview(self.cols), memoryview(self.vals)):
-            lines.append(f"{r},{c},{v:.17g}")
+        # memoryviews yield Python ints one at a time: formatting them skips
+        # numpy's scalar formatting without whole-array lists
+        for r, c, k in zip(memoryview(self.rows), memoryview(self.cols), memoryview(which)):
+            lines.append(f"{r},{c},{texts[k]}")
         return "\n".join(lines) + "\n"
 
 

@@ -12,10 +12,12 @@ Which blueprints match the product, at which factor positions, and which
 factors are spectators depends only on its label layout (which labels are
 atoms, which are paired), not on the modes; so does every bra configuration
 a matched blueprint emits.  The core plans that once per (term, layout).
-The emitted ``(bra factors, amplitude)`` list depends only on the term, the
-operators and the matched factors, so it is contracted once per fragment.
-Both live in a dict the caller creates per call, so nothing outlives one
-model or one sweep.
+The amplitudes a matched blueprint emits depend only on its shape (the
+term, operators and slots with labels renumbered in order) and the modes of
+the matched factors, so each shape reaches the engine once per bra, and its
+emissions are stored as (position in the bra list, amplitude).  Plans and
+emissions live in a memo the caller creates per call, so nothing outlives
+one model or one sweep.
 
 :func:`apply_projected_term` collects the core's output products.
 :func:`oracle_matrix_element` applies a term to every labeled product of the
@@ -32,7 +34,8 @@ the second-quantized one, and uses two closed forms of those expansions:
   by the sum of K's expansion weights, N! times its normalization constant.
 * A labeled product fixes its occupation (atoms per mode, pairs per
   composite), so each emission is read into its bra through the occupation
-  alone: the ket's, minus the matched factors, plus the emitted ones.  In
+  alone: the ket's, minus the matched factors, plus the emitted ones, kept
+  as integer codes (:func:`_slot_codes`) that the plan holds per bra.  In
   the expansion of bra B a labeled product carries the weight
   w_B = c_B * prod(n_m!) * prod(k_a! 2^k_a), c_B the normalization constant:
   the count of label permutations that fix one labeled product.  No output
@@ -44,8 +47,12 @@ the second-quantized one, and uses two closed forms of those expansions:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .algebra import (
     Atom,
@@ -63,6 +70,7 @@ from .algebra import (
 from .fock import OccupationState, enumerate_sector, normalization_constant
 from .hamiltonian import TermId, build_term, coefficient_tensors
 from .modespace import CompositeSpectrum, ModeSpace
+from .numerics import SparseMatrix
 
 EXPANSION_GUARD = 6
 
@@ -143,25 +151,6 @@ def labeled_product_weight(state: OccupationState) -> float:
     return normalization_constant(state) * fixing
 
 
-def _key_part(factor: FormalFactor) -> tuple:
-    """(labels, mode or composite) of one factor.  Sorted, the parts of a
-    labeled product key it, and order products as their ``sort_key`` does."""
-    if isinstance(factor, Atom):
-        return (factor.label,), factor.mode
-    return factor.labels, factor.index
-
-
-def _shift(
-    atoms: list[int], molecules: list[int], factors: Iterable[FormalFactor], step: int
-) -> None:
-    """Add ``step`` to the occupation of each factor's mode or composite."""
-    for f in factors:
-        if isinstance(f, Atom):
-            atoms[f.mode] += step
-        else:
-            molecules[f.index] += step
-
-
 # ---------------------------------------------------------------------------
 # Blueprints: for every index region of a term, the right projector slots,
 # the sandwiched operator, and the left projector structures to re-emit.
@@ -235,29 +224,58 @@ def _term_blueprints(term: TermId, labels: Sequence[int]) -> Iterator[Blueprint]
 
 Layout = tuple[tuple[int, ...], ...]  # the labels of each factor, in factor order
 Factors = tuple[FormalFactor, ...]
-# One matched blueprint of a plan: operators, matched factor positions (in slot
-# order), spectator positions, and the bra configurations of its left variants.
-PlanEntry = tuple[tuple[Operator, ...], tuple[int, ...], tuple[int, ...], list[FormalProduct]]
+Emission = tuple[int, float]  # (position in the entry's bra list, amplitude)
 
 
 def _labels_of(factor: FormalFactor) -> tuple[int, ...]:
     return (factor.label,) if isinstance(factor, Atom) else factor.labels
 
 
+def _mode_of(factor: FormalFactor) -> int:
+    return factor.mode if isinstance(factor, Atom) else factor.index
+
+
+def _slot_of(factor: FormalFactor) -> Slot:
+    return _s(factor.label) if isinstance(factor, Atom) else _c(*factor.labels)
+
+
+def _slot_codes(slot: Slot, n: int, n_modes: int, n_composites: int) -> list[tuple[int, int]]:
+    """The (key, occupation) codes of each factor that can fill ``slot`` in a
+    labeled product over labels 1..n, by mode or composite.
+
+    Both codes of a product are the sums of its factors' codes.  The key
+    holds one base-R digit per label, most significant first, R = (n + 1) K
+    and K = max(M, A): a factor puts the digit ``partner * K + mode`` at its
+    smallest label, partner being 0 for an atom and the other label for a
+    pair.  Two products share a key only if they are equal, and keys order
+    products as their ``sort_key`` does.  The occupation holds one base-(n+1)
+    digit per atom mode, then one per composite: it names the product's
+    occupation state.
+    """
+    radix = max(n_modes, n_composites)
+    base = n + 1
+    kind, where = slot
+    if kind == "S":
+        place = (radix * base) ** (n - where)  # type: ignore[operator]
+        return [(mode * place, base**mode) for mode in range(n_modes)]
+    first, second = where  # type: ignore[misc]
+    place = (radix * base) ** (n - first)
+    return [((second * radix + a) * place, base ** (n_modes + a)) for a in range(n_composites)]
+
+
 def _match_slots(
-    layout: Layout, slots: tuple[Slot, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Split a layout into (matched positions, spectator positions) if its
-    partition structure agrees with the projector slots; otherwise None."""
-    position = {labels: p for p, labels in enumerate(layout)}
+    position: dict[tuple[int, ...], int], slots: tuple[Slot, ...]
+) -> tuple[int, ...] | None:
+    """The factor positions that fill the projector slots, in slot order, if
+    the partition structure agrees with them; otherwise None.  ``position``
+    maps the labels of each factor of the layout to its position."""
     matched = []
-    for kind, where in slots:
-        p = position.get((where,) if kind == "S" else where)  # type: ignore[arg-type]
+    for slot in slots:
+        p = position.get(_slot_labels(slot))
         if p is None:
             return None
         matched.append(p)
-    spectators = tuple(p for p in range(len(layout)) if p not in matched)
-    return tuple(matched), spectators
+    return tuple(matched)
 
 
 def _emit_configs(
@@ -278,95 +296,203 @@ def _emit_configs(
         yield tuple(factors)
 
 
-def _plan(term: TermId, layout: Layout, n_modes: int, n_composites: int) -> list[PlanEntry]:
-    """Every blueprint of ``term`` that matches ``layout``, with the bra
-    configurations of all its left variants in emission order."""
-    labels = sorted(lab for labs in layout for lab in labs)
-    plan = []
-    for right_slots, ops, left_variants in _term_blueprints(term, labels):
-        split = _match_slots(layout, right_slots)
-        if split is None:
-            continue
-        bras = [
+def _slot_labels(slot: Slot) -> tuple[int, ...]:
+    kind, where = slot
+    return (where,) if kind == "S" else where  # type: ignore[return-value]
+
+
+def _shape(term: TermId, ops: tuple[Operator, ...], right: tuple[Slot, ...],
+           left: tuple[tuple[Slot, ...], ...]) -> tuple:
+    """A matched blueprint with its labels renumbered 0, 1, ... in order."""
+    rank = {lab: r for r, lab in enumerate(sorted(sum(map(_slot_labels, right), ())))}.__getitem__
+
+    def slots(group: tuple[Slot, ...]) -> tuple:
+        return tuple((slot[0], tuple(map(rank, _slot_labels(slot)))) for slot in group)
+
+    acted = (((op.label,) if isinstance(op, OneBody) else (op.a, op.b)) for op in ops)
+    return (term, tuple(tuple(map(rank, labs)) for labs in acted),
+            slots(right), tuple(map(slots, left)))
+
+
+@dataclass(eq=False)
+class _Entry:
+    """One blueprint of a term matched against one label layout.
+
+    It holds the operators, the matched factor positions (in slot order) and
+    the spectator positions.  The bra configurations of its left structures,
+    in emission order, are built on first use: as products where a
+    contraction or an output product needs them, and as (key, occupation)
+    codes (:func:`_slot_codes`, over labels 1..n) where the sweep merges
+    emissions.  ``emissions`` maps the matched modes to the nonzero
+    ``(bra position, amplitude)`` list and is shared by every entry of the
+    same shape: an order-preserving relabeling maps bra k of one entry to
+    bra k of the other and leaves each amplitude bitwise the same.
+    """
+
+    ops: tuple[Operator, ...]
+    matched: tuple[int, ...]
+    spectators: tuple[int, ...]
+    left: tuple[tuple[Slot, ...], ...]
+    emissions: dict[tuple[int, ...], list[Emission]]
+    n: int  # the number of labels
+    sizes: tuple[int, int]  # (M, A)
+
+    @cached_property
+    def bras(self) -> list[FormalProduct]:
+        return [
             FormalProduct(1.0, factors)
-            for left_slots in left_variants
-            for factors in _emit_configs(left_slots, n_modes, n_composites)
+            for slots in self.left
+            for factors in _emit_configs(slots, *self.sizes)
         ]
-        plan.append((ops, *split, bras))
+
+    @cached_property
+    def codes(self) -> list[tuple[int, int]]:
+        return [
+            (sum(key for key, _ in choice), sum(occupation for _, occupation in choice))
+            for slots in self.left
+            for choice in product(*(_slot_codes(slot, self.n, *self.sizes) for slot in slots))
+        ]
+
+    def emitted(self, modes: tuple[int, ...], factors: Factors, eng: ElementEngine) -> list[Emission]:
+        """The nonzero emissions of a product with these factor modes."""
+        matched_modes = tuple([modes[p] for p in self.matched])
+        out = self.emissions.get(matched_modes)
+        if out is None:
+            ket = FormalProduct(1.0, tuple([factors[p] for p in self.matched]))
+            out = self.emissions[matched_modes] = [
+                (k, amp)
+                for k, bra in enumerate(self.bras)
+                if (amp := eng.element(bra, self.ops, ket)) != 0.0
+            ]
+        return out
+
+
+@dataclass
+class _Memo:
+    """What one call works out once and reuses across its products: the
+    blueprints of each (term, labels), the plan of each (term, label
+    layout) and, per shape, the emissions of each matched mode choice.  The
+    caller creates one per call, so nothing outlives one model or sweep."""
+
+    blueprints: dict[tuple, list[Blueprint]] = field(default_factory=dict)
+    plans: dict[tuple, list[_Entry]] = field(default_factory=dict)
+    emissions: dict[tuple, dict[tuple[int, ...], list[Emission]]] = field(default_factory=dict)
+
+
+def _plan(term: TermId, layout: Layout, eng: ElementEngine, memo: _Memo) -> list[_Entry]:
+    """Every blueprint of ``term`` that matches ``layout``, planned once per call."""
+    plan = memo.plans.get((term, layout))
+    if plan is not None:
+        return plan
+    sizes = (eng.space.n_modes, eng.spectrum.n_composites)
+    labels = tuple(sorted(lab for labs in layout for lab in labs))
+    blueprints = memo.blueprints.get((term, labels))
+    if blueprints is None:
+        blueprints = memo.blueprints[term, labels] = list(_term_blueprints(term, labels))
+    position = {labs: p for p, labs in enumerate(layout)}
+    plan = memo.plans[term, layout] = []
+    for right, ops, left in blueprints:
+        matched = _match_slots(position, right)
+        if matched is None:
+            continue
+        spectators = tuple(p for p in range(len(layout)) if p not in matched)
+        emissions = memo.emissions.setdefault(_shape(term, ops, right, left), {})
+        plan.append(_Entry(ops, matched, spectators, left, emissions, len(labels), sizes))
     return plan
 
 
 def _emissions(
-    term: TermId, prod: FormalProduct, eng: ElementEngine, memo: dict
-) -> Iterator[tuple[Factors, Factors, list[tuple[Factors, float]]]]:
+    term: TermId, prod: FormalProduct, eng: ElementEngine, memo: _Memo
+) -> Iterator[tuple[_Entry, list[Emission]]]:
     """The emission core of a projected term applied to one labeled product.
 
-    For each blueprint whose right slots match ``prod`` it yields the matched
-    ket factors, the spectators, and the emitted ``(bra factors, amplitude)``
-    pairs of the left structures with nonzero amplitude.  The amplitude is
-    the exact fragment element; ``prod``'s own weight is not applied.
+    For each blueprint whose right slots match ``prod`` it yields the plan
+    entry and the nonzero ``(bra position, amplitude)`` emissions of its left
+    structures; the entry names the matched and spectator factors and the
+    bras.  The amplitude is the exact fragment element; ``prod``'s own
+    weight is not applied.
 
-    ``memo`` holds the plan of each (term, label layout) and the emission
-    list of each (term, operators, matched factors); the caller creates it
-    per call and reuses it across the products of that call.
+    ``memo`` holds the plan of each (term, label layout) and, per shape (the
+    term, operators and slots with labels renumbered in order), the
+    emissions of each matched mode choice; the caller creates it per call
+    and reuses it across the products of that call, so each shape reaches
+    the engine once per bra.
     """
     factors = prod.factors
-    layout = tuple(_labels_of(f) for f in factors)
-    plan = memo.get((term, layout))
-    if plan is None:
-        n_modes, n_composites = eng.space.n_modes, eng.spectrum.n_composites
-        plan = memo[term, layout] = _plan(term, layout, n_modes, n_composites)
-    for ops, positions, spectator_positions, bras in plan:
-        matched = tuple(factors[p] for p in positions)
-        emitted = memo.get((term, ops, matched))
-        if emitted is None:
-            ket_frag = FormalProduct(1.0, matched)
-            emitted = memo[term, ops, matched] = [
-                (bra.factors, amp)
-                for bra in bras
-                if (amp := eng.element(bra, ops, ket_frag)) != 0.0
-            ]
-        yield matched, tuple(factors[p] for p in spectator_positions), emitted
+    modes = tuple(map(_mode_of, factors))
+    for entry in _plan(term, tuple(map(_labels_of, factors)), eng, memo):
+        emitted = entry.emitted(modes, factors, eng)
+        if emitted:
+            yield entry, emitted
+
+
+class _Ket(NamedTuple):
+    """A ket's representative product, read once for every term."""
+
+    weight: float
+    factors: Factors
+    layout: Layout
+    modes: tuple[int, ...]
+    codes: list[tuple[int, int]]  # (key, occupation) code of each factor
+    key: int
+    occupation: int
+
+
+def _ket(state: OccupationState, n_modes: int, n_composites: int) -> _Ket:
+    rep = representative_product(state)
+    n = state.constituents
+    modes = tuple(map(_mode_of, rep.factors))
+    codes = [_slot_codes(_slot_of(f), n, n_modes, n_composites)[m] for f, m in zip(rep.factors, modes)]
+    return _Ket(rep.weight, rep.factors, tuple(map(_labels_of, rep.factors)), modes, codes,
+                sum(key for key, _ in codes), sum(occupation for _, occupation in codes))
 
 
 def _oracle_column(
     term: TermId,
-    ket: OccupationState,
-    rep: FormalProduct,
-    index: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, float]],
+    ket: _Ket,
+    index: dict[int, tuple[int, float]],
     dim: int,
     eng: ElementEngine,
-    memo: dict,
-) -> list[float]:
-    """Column ``<i|term|ket>`` read from the emissions of ket's representative.
+    memo: _Memo,
+) -> tuple[list[float], set[int]]:
+    """Column ``<i|term|ket>`` read from the emissions of ket's representative,
+    and the set of bras i it adds to (every other entry is +0.0).
 
-    Each emitted product's bra is read through its occupation: the ket's,
-    minus the matched factors, plus the emitted ones, looked up in ``index``
-    ``(atoms, molecules) -> (i, w_i)``.  Emissions of one labeled product are
-    summed first and the products added in sort-key order, the order
-    ``FormalState.collect`` gives them, so the column is bitwise the one read
-    from :func:`apply_projected_term`.
+    Each emitted product is read through two integer codes (see
+    :func:`_slot_codes`): the ket's, minus the matched factors', plus the
+    emitted bra's from the plan.  The key merges emissions of one labeled
+    product in emission order; the occupation is looked up in ``index``
+    ``occupation -> (i, w_i)``.  The products are added in key order, the
+    order ``FormalState.collect`` gives them, so the column is bitwise the
+    one read from :func:`apply_projected_term`.
     """
-    merged: dict[tuple, list] = {}  # product key -> [weight, i, w_i]
-    for matched, spectators, emitted in _emissions(term, rep, eng, memo):
-        atoms, molecules = list(ket.atoms), list(ket.molecules)
-        _shift(atoms, molecules, matched, -1)
-        spectator_parts = [_key_part(f) for f in spectators]
-        for bra_factors, amp in emitted:
-            key = tuple(sorted(spectator_parts + [_key_part(f) for f in bra_factors]))
-            entry = merged.get(key)
-            if entry is not None:
-                entry[0] += rep.weight * amp
-                continue
-            bra_atoms, bra_molecules = atoms.copy(), molecules.copy()
-            _shift(bra_atoms, bra_molecules, bra_factors, 1)
-            merged[key] = [rep.weight * amp, *index[tuple(bra_atoms), tuple(bra_molecules)]]
+    merged: dict[int, list] = {}  # product key -> [weight, occupation]
+    weight = ket.weight
+    for entry in _plan(term, ket.layout, eng, memo):
+        emitted = entry.emitted(ket.modes, ket.factors, eng)
+        if not emitted:
+            continue
+        key, occupation = ket.key, ket.occupation
+        for p in entry.matched:
+            key -= ket.codes[p][0]
+            occupation -= ket.codes[p][1]
+        codes = entry.codes
+        for k, amp in emitted:
+            bra_key, bra_occupation = codes[k]
+            product_sum = merged.get(key + bra_key)
+            if product_sum is None:
+                merged[key + bra_key] = [weight * amp, occupation + bra_occupation]
+            else:
+                product_sum[0] += weight * amp
     column = [0.0] * dim
-    for key in sorted(merged):
-        weight, i, w_i = merged[key]
-        if weight != 0.0:
-            column[i] += w_i * weight
-    return column
+    touched = set()
+    for product_key in sorted(merged):
+        total, occupation = merged[product_key]
+        if total != 0.0:
+            i, w_i = index[occupation]
+            column[i] += w_i * total
+            touched.add(i)
+    return column, touched
 
 
 def apply_projected_term(
@@ -383,12 +509,15 @@ def apply_projected_term(
     empty (annihilating) state.
     """
     eng = engine if engine is not None else ElementEngine(space, spectrum)
-    memo: dict = {}
+    memo = _Memo()
     out = [
-        FormalProduct(prod.weight * amp, bra_factors + spectators)
+        FormalProduct(
+            prod.weight * amp,
+            entry.bras[k].factors + tuple([prod.factors[p] for p in entry.spectators]),
+        )
         for prod in state.products
-        for _, spectators, emitted in _emissions(term, prod, eng, memo)
-        for bra_factors, amp in emitted
+        for entry, emitted in _emissions(term, prod, eng, memo)
+        for k, amp in emitted
     ]
     if not out:
         return FormalState(())
@@ -426,6 +555,17 @@ class Column(NamedTuple):
     sq: list[float]
     oracle: list[float]
     diff: list[float]  # |sq - oracle| per bra
+    # the bra positions, ascending, outside which sq, oracle and diff are
+    # all +0.0; None if not known
+    rows: list[int] | None = None
+
+
+def _stored_rows(block: SparseMatrix) -> list[list[int]]:
+    """The rows of each column's stored entries, ascending."""
+    by_column = block.transpose()
+    bounds = np.searchsorted(by_column.rows, np.arange(block.dim + 1)).tolist()
+    rows = by_column.cols.tolist()
+    return [rows[bounds[j] : bounds[j + 1]] for j in range(block.dim)]
 
 
 def sweep_columns(
@@ -443,37 +583,44 @@ def sweep_columns(
     projected terms commute with relabeling and the bra expansions are
     symmetric.  Column j is read straight from the emission core: each
     emission's bra occupation (the ket's, minus the matched factors, plus the
-    emitted ones) indexes ``(atoms, molecules) -> (bra index, w_i)``, w_i
-    being the weight of any one labeled product in bra i's expansion.  No
+    emitted ones) indexes ``occupation code -> (bra index, w_i)``, w_i being
+    the weight of any one labeled product in bra i's expansion.  No
     expansion and no output product is built, and the column is bitwise the
     one :func:`apply_projected_term` would give.
 
-    One memo serves the whole sweep: the blueprint plan of each (term, label
-    layout), and the emissions of each (term, operators, matched factors),
-    are computed once and reused by every ket, sector and term that meets
-    them, so no (bra, operators, ket) fragment reaches the engine twice.
-    Each term block is read once as Python floats.  Nothing else is kept
-    from one column to the next, so a consumer that does not keep the
-    columns runs in memory that does not grow with their number.
+    One memo serves the whole sweep: the plan of each (term, label layout),
+    and the emissions of each shape and matched mode choice, are computed
+    once and reused by every ket, sector and term that meets them, so no
+    fragment reaches the engine twice, even relabeled.  Each term block is
+    read once as Python floats; ``Column.rows`` joins its stored rows and
+    the bras the oracle column adds to, and ``diff`` is computed there only.
+    Nothing else is kept from one column to the next, so a consumer that
+    does not keep the columns runs in memory that does not grow with their
+    number.
     """
     eng = ElementEngine(space, spectrum)
-    memo: dict = {}
+    memo = _Memo()
     tensors = coefficient_tensors(space, spectrum)
     for n in sector_numbers:
         basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
         names = [str(s) for s in basis.states]
-        representatives = [representative_product(s) for s in basis.states]
+        kets = [_ket(s, space.n_modes, spectrum.n_composites) for s in basis.states]
         index = {
-            (s.atoms, s.molecules): (i, labeled_product_weight(s))
-            for i, s in enumerate(basis.states)
+            ket.occupation: (i, labeled_product_weight(s))
+            for i, (ket, s) in enumerate(zip(kets, basis.states))
         }
         for term in terms:
-            sq_columns = build_term(term, basis, space, spectrum, tensors).to_dense().T.tolist()
-            for j, (ket, rep) in enumerate(zip(basis.states, representatives)):
+            block = build_term(term, basis, space, spectrum, tensors)
+            sq_columns = block.to_dense().T.tolist()
+            stored = _stored_rows(block)
+            for j, ket in enumerate(kets):
                 sq = sq_columns[j]
-                oracle = _oracle_column(term, ket, rep, index, basis.dim, eng, memo)
-                diff = [abs(s - o) for s, o in zip(sq, oracle)]
-                yield Column(term.value, n, names, names[j], sq, oracle, diff)
+                oracle, touched = _oracle_column(term, ket, index, basis.dim, eng, memo)
+                rows = sorted(touched.union(stored[j]))
+                diff = [0.0] * basis.dim
+                for i in rows:
+                    diff[i] = abs(sq[i] - oracle[i])
+                yield Column(term.value, n, names, names[j], sq, oracle, diff, rows)
 
 
 def report_layout(checks, summary) -> dict:

@@ -385,7 +385,7 @@ def test_step_plan_matches_planned_einsum(monkeypatch):
     monkeypatch.setattr(algebra, "labeled_matrix_element", counting_contract)
     report = verify_sectors(space, spectrum, range(6), include_rows=False)
     assert report["summary"]["pairs_checked"] == 26110
-    assert calls == {"element": 1513, "contract": 192}
+    assert calls == {"element": 241, "contract": 192}
     assert len(planned) > 10
 
     rng = np.random.default_rng(20240)
@@ -394,3 +394,43 @@ def test_step_plan_matches_planned_einsum(monkeypatch):
         want = np.einsum(expr, *operands, optimize=algebra._contraction_path(expr, shapes))
         got = algebra._contract(expr, list(operands))
         assert got == pytest.approx(want, rel=1e-13, abs=0.0), expr
+
+
+def test_fused_operators_agree_with_separate_ones(monkeypatch):
+    # labeled_matrix_element folds each one-body operator into a two-body
+    # operator on its label; on every fragment an N <= 5 oracle-verify sweep
+    # contracts, that sum equals the per-operator sum up to roundoff
+    space = build_explicit_model(
+        RANDOM_SPACE.one_body.mat.tolist(), np.asarray(RANDOM_SPACE.two_body.t4).ravel().tolist()
+    )
+    spectrum = space.solve_composites(LowestK(2))
+    fragments = []
+    contract = algebra.labeled_matrix_element
+
+    def recording(bra, ops, ket, *args):
+        fragments.append((bra, tuple(ops), ket))
+        return contract(bra, ops, ket, *args)
+
+    monkeypatch.setattr(algebra, "labeled_matrix_element", recording)
+    verify_sectors(space, spectrum, range(6), include_rows=False)
+    monkeypatch.undo()
+    assert len(fragments) == 192
+    folded = 0
+    for bra, ops, ket in fragments:
+        fused = labeled_matrix_element(bra, ops, ket, space, spectrum)
+        parts = [labeled_matrix_element(bra, (op,), ket, space, spectrum) for op in ops]
+        assert abs(fused - sum(parts)) <= 1e-13 * sum(map(abs, parts)), (bra, ops, ket)
+        folded += any(isinstance(op, OneBody) for op in ops) and len(ops) > 1
+    assert folded > 100
+
+
+def test_fused_pair_operator_is_the_kronecker_sum():
+    # T4 + O (x) 1 + 1 (x) O, read-only, one array per choice of folded labels
+    o, t4, eye = RANDOM_SPACE.one_body.mat, RANDOM_SPACE.two_body.t4, np.eye(RANDOM_SPACE.n_modes)
+    first, second = np.einsum("mp,nq->mnpq", o, eye), np.einsum("mp,nq->mnpq", eye, o)
+    assert RANDOM_SPACE.pair_operator(False, False) is RANDOM_SPACE.pair_operator(False, False)
+    assert np.array_equal(RANDOM_SPACE.pair_operator(False, False), t4)
+    assert np.array_equal(RANDOM_SPACE.pair_operator(True, False), t4 + first)
+    assert np.array_equal(RANDOM_SPACE.pair_operator(False, True), t4 + second)
+    assert np.array_equal(RANDOM_SPACE.pair_operator(True, True), t4 + first + second)
+    assert not RANDOM_SPACE.pair_operator(True, True).flags.writeable

@@ -486,3 +486,20 @@ def test_verification_text_rejects_non_finite():
         cli.dump_json(report)
     with pytest.raises(ValueError, match="non-finite"):
         cli.verification_text(report)
+
+
+@pytest.mark.parametrize(
+    "rows", [[], [0], [4], [1, 2], [0, 2, 4], [0, 1, 2, 3, 4]], ids=lambda r: f"rows{r}"
+)
+def test_row_formatter_writes_zero_runs_as_each_row_alone(rows):
+    # runs of all-zero rows are joined in one go around the listed rows;
+    # the text equals the one that formats every row on its own, also for
+    # -0.0 (printed -0) and for a listed row of zeros
+    sqs = [v if row in rows else 0.0 for row, v in enumerate([0.0, -0.0, 0.25, 0.0, -1.5])]
+    oracles = [v if row in rows else 0.0 for row, v in enumerate([0.0, 0.0, 0.25, 0.0, -1.25])]
+    diffs = [abs(s - o) for s, o in zip(sqs, oracles)]
+    bras = [f"|{b}⟩" for b in range(5)]
+    formatted = cli._RowFormatter()("SS", 2, "|k⟩", bras, sqs, oracles, diffs, rows)
+    alone = cli._RowFormatter()("SS", 2, "|k⟩", bras, sqs, oracles, diffs)
+    assert formatted == alone
+    assert formatted.count('"bra"') == 5

@@ -5,7 +5,7 @@ import pytest
 
 from composite_bosons.fock import enumerate_sector
 from composite_bosons.hamiltonian import assemble_hamiltonian
-from composite_bosons.models import build_ring_model
+from composite_bosons.models import build_ring_model, random_mode_space
 from composite_bosons.modespace import (
     BelowEdge,
     CompositeSpectrum,
@@ -17,6 +17,7 @@ from composite_bosons.modespace import (
     solve_bound_states,
     two_particle_matrix,
 )
+from composite_bosons.numerics import dense_symmetric_eigen
 
 R2 = math.sqrt(2.0)
 
@@ -134,6 +135,35 @@ def test_two_site_coefficients_regression():
     # values fixed by diagonalization of the site-basis pair matrix
     assert c[0, 0] == pytest.approx(0.6532814824381883, abs=1e-12)
     assert c[0, 1] == pytest.approx(0.2705980500730985, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", ["ring8", "random"])
+def test_bound_states_are_bitwise_the_per_entry_fill(model):
+    # the edge, the selection and the coefficients filled by index arrays
+    # equal, bit for bit, the per-entry loop they replaced
+    if model == "ring8":
+        space, policy = build_ring_model(8, 1.0, -20.0), BelowEdge()
+    else:
+        space, policy = random_mode_space(3, 20240, attraction=(40.0, 55.0)), LowestK(2)
+    pair_h = space.pair_hamiltonian()
+    spectrum = solve_bound_states(pair_h, space.one_body, policy)
+    edge = 2.0 * dense_symmetric_eigen(space.one_body.mat)[0][0]
+    values, vectors = dense_symmetric_eigen(pair_h.mat)
+    selected = [i for i, v in enumerate(values) if v < edge - (1e-8 * abs(edge) + 1e-12)]
+    if isinstance(policy, LowestK):
+        selected = list(range(policy.k))
+    m = space.n_modes
+    coeffs = np.zeros((len(selected), m, m))
+    for out, col in enumerate(selected):
+        for row, (p, q) in enumerate(pair_h.pairs):
+            if p == q:
+                coeffs[out, p, p] = vectors[row, col]
+            else:
+                coeffs[out, p, q] = coeffs[out, q, p] = vectors[row, col] * (1.0 / math.sqrt(2.0))
+    assert spectrum.continuum_edge == float(edge)
+    assert spectrum.energies.tobytes() == values[selected].tobytes()
+    assert spectrum.coefficients.tobytes() == coeffs.tobytes()
+    assert spectrum.n_composites == (8 if model == "ring8" else 2)
 
 
 def test_coefficient_orthonormality():

@@ -59,6 +59,54 @@ def test_sign_convention_and_determinism():
         assert first > 0
 
 
+def _per_column_eigen(mat):
+    # the per-column sign fix and the full group sort that
+    # dense_symmetric_eigen replaced, kept as its bitwise reference
+    values, vectors = np.linalg.eigh(np.asarray(mat, dtype=float))
+    vectors = vectors.copy()
+    for col in range(vectors.shape[1]):
+        v = vectors[:, col]
+        big = np.nonzero(np.abs(v) > 1e-10)[0]
+        if big.size and v[big[0]] < 0.0:
+            vectors[:, col] = -v
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(values))))
+    order, i, n = [], 0, len(values)
+    while i < n:
+        j = i
+        while j + 1 < n and values[j + 1] - values[i] <= tol:
+            j += 1
+        order.extend(sorted(range(i, j + 1), key=lambda c: tuple(vectors[:, c])))
+        i = j + 1
+    return values, vectors[:, order]
+
+
+def _ring_hopping(m):
+    o = np.zeros((m, m))
+    for s in range(m):
+        o[s, (s + 1) % m] = o[(s + 1) % m, s] = -1.0
+    return o
+
+
+def _degenerate_cluster(seed):
+    # a random orthogonal basis with a threefold and a twofold eigenvalue
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    m = q @ np.diag([-2.0, 0.5, 0.5, 0.5, 1.0, 3.0, 3.0, 4.0, 7.0]) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [_ring_hopping(8), _ring_hopping(6), _degenerate_cluster(1), _degenerate_cluster(2), np.eye(4)],
+    ids=["ring8", "ring6", "cluster-1", "cluster-2", "identity"],
+)
+def test_dense_eigen_is_bitwise_the_per_column_loop(mat):
+    want_values, want_vectors = _per_column_eigen(mat)
+    values, vectors = dense_symmetric_eigen(mat)
+    assert values.tobytes() == want_values.tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_eigen_properties(seed):
     rng = np.random.default_rng(seed)
@@ -167,6 +215,18 @@ def test_coordinate_csv_matches_numpy_scalar_formatting():
     want = ["row,col,value"] + [f"{r},{c},{v:.17g}" for r, c, v in zip(rows, cols, vals)]
     assert m.to_coordinate_csv() == "\n".join(want) + "\n"
     assert "2999999999,1,1.7976931348623157e+308" in want
+
+
+def test_coordinate_csv_keeps_the_two_zeros_apart():
+    # each distinct value is formatted once, keyed by its bits: -0.0 prints
+    # as -0 and 0.0 as 0, wherever they stand, as the per-entry loop does
+    vals = np.array([0.0, -0.0, 0.25, -0.0, 0.25, 0.0, -1.0 / 3.0, 1e-300, -0.0])
+    rows = np.arange(vals.size, dtype=np.int64)
+    cols = rows[::-1].copy()
+    m = SparseMatrix(vals.size, rows, cols, vals)
+    want = ["row,col,value"] + [f"{r},{c},{v:.17g}" for r, c, v in zip(rows, cols, vals)]
+    assert m.to_coordinate_csv() == "\n".join(want) + "\n"
+    assert "1,7,-0" in want and "0,8,0" in want
 
 
 # values on both sides of the drop tolerance, exact zeros and ordinary sizes

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -6,12 +7,13 @@ import sys
 
 import pytest
 
-from composite_bosons import oracle
+from composite_bosons import algebra, oracle
 from composite_bosons.algebra import (
     Atom,
     ElementEngine,
     FormalProduct,
     FormalState,
+    OneBody,
     Pair,
     formal_inner_product,
     labeled_matrix_element,
@@ -324,6 +326,102 @@ def test_verify_sectors_contracts_each_fragment_once(random_model, monkeypatch):
     assert report["summary"]["pairs_checked"] == 26_110
     assert seen
     assert len(set(seen)) == len(seen)
+
+
+def _renumbered(bra, ops, ket):
+    # a fragment with its labels renumbered 0, 1, ... in order, in the
+    # orientation it was asked in
+    labels = sorted(bra.labels | ket.labels)
+    rank = {lab: r for r, lab in enumerate(labels)}.__getitem__
+
+    def product(p):
+        return tuple((kind, tuple(map(rank, labs)), tag) for kind, labs, tag in p.sort_key)
+
+    acted = tuple(
+        ("O", rank(op.label)) if isinstance(op, OneBody) else ("T", rank(op.a), rank(op.b))
+        for op in ops
+    )
+    return product(bra), acted, product(ket)
+
+
+def test_verify_sectors_sends_each_shape_to_the_engine_once(random_model, monkeypatch):
+    # the emission memo is keyed by shape: fragments that differ only by an
+    # order-preserving relabeling reach the engine once, and the engine
+    # contracts what is left once up to its bra/ket swap
+    space, spectrum = random_model
+    seen = []
+    contracted = []
+    element, contract = ElementEngine.element, algebra.labeled_matrix_element
+
+    def recording(self, bra, ops, ket):
+        seen.append(_renumbered(bra, ops, ket))
+        return element(self, bra, ops, ket)
+
+    def counting(*args):
+        contracted.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(ElementEngine, "element", recording)
+    monkeypatch.setattr(algebra, "labeled_matrix_element", counting)
+    report = verify_sectors(space, spectrum, range(0, 6), include_rows=False)
+    assert report["summary"]["pairs_checked"] == 26_110
+    assert len(seen) == len(set(seen)) == 241
+    assert len(contracted) == 192
+
+
+def _labeled_products(n, n_modes, n_composites):
+    # every labeled product over labels 1..n: each pair partition of a
+    # subset of the labels, with every mode and composite choice
+    labels = tuple(range(1, n + 1))
+
+    def partitions(rest):
+        if not rest:
+            yield ()
+            return
+        first, others = rest[0], rest[1:]
+        for tail in partitions(others):
+            yield ((first,),) + tail
+        for k, partner in enumerate(others):
+            for tail in partitions(others[:k] + others[k + 1 :]):
+                yield ((first, partner),) + tail
+
+    for groups in partitions(labels):
+        ranges = [range(n_modes) if len(g) == 1 else range(n_composites) for g in groups]
+        for choice in itertools.product(*ranges):
+            yield FormalProduct(1.0, tuple(
+                Atom(c, g[0]) if len(g) == 1 else Pair(c, g) for g, c in zip(groups, choice)
+            ))
+
+
+@pytest.mark.parametrize("n, n_modes, n_composites", [(4, 3, 2), (5, 2, 3), (3, 1, 1)])
+def test_product_codes_order_products_as_sort_keys(n, n_modes, n_composites):
+    # the sweep merges emissions by an integer key and reads the bra through
+    # an integer occupation, both sums of per-factor codes: keys are distinct
+    # for distinct products and sort as sort_key does, and the occupation
+    # names the occupation numbers
+    products = list(_labeled_products(n, n_modes, n_composites))
+    codes = []
+    for p in products:
+        parts = [
+            oracle._slot_codes(oracle._slot_of(f), n, n_modes, n_composites)[oracle._mode_of(f)]
+            for f in p.factors
+        ]
+        codes.append((sum(k for k, _ in parts), sum(o for _, o in parts)))
+    keys = [k for k, _ in codes]
+    assert len(set(keys)) == len(products)
+    assert sorted(range(len(products)), key=keys.__getitem__) == sorted(
+        range(len(products)), key=lambda i: products[i].sort_key
+    )
+    occupation = {}
+    for p, (_, code) in zip(products, codes):
+        atoms, molecules = [0] * n_modes, [0] * n_composites
+        for f in p.factors:
+            if isinstance(f, Atom):
+                atoms[f.mode] += 1
+            else:
+                molecules[f.index] += 1
+        assert occupation.setdefault(code, (atoms, molecules)) == (atoms, molecules)
+    assert len(occupation) == len({(tuple(a), tuple(m)) for a, m in occupation.values()})
 
 
 def test_verify_sectors_memo_does_not_outlive_a_call(two_site, random_model):
