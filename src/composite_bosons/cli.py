@@ -19,13 +19,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import enumerate_sector
+from .fock import SectorBasis, enumerate_sector
 from .hamiltonian import (
     HermiticityError,
     SparseHamiltonian,
     TermId,
     assemble_hamiltonian,
-    coefficient_tensors,
+    split_sectors,
 )
 from .modespace import CompositeSpectrum, ModeSpace
 from .models import ConfigError, ModelConfig, build_mode_space, load_config
@@ -316,12 +316,14 @@ def _sector_csv(n: int, eigenvalues: Sequence[float]) -> str:
 
 def _sector_hamiltonians(
     space: ModeSpace, spectrum: CompositeSpectrum, n_max: int
-) -> Iterator[tuple[int, SparseHamiltonian]]:
-    """The assembled Hamiltonian of each sector N = 0..n_max, in turn."""
-    tensors = coefficient_tensors(space, spectrum)
-    for n in range(n_max + 1):
-        basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
-        yield n, assemble_hamiltonian(basis, space, spectrum, tensors)
+) -> list[tuple[int, SparseHamiltonian]]:
+    """The assembled Hamiltonian of each sector N = 0..n_max.
+
+    All sectors are assembled at once, on their union, and read off it.
+    """
+    bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(n_max + 1)]
+    union = assemble_hamiltonian(SectorBasis.union(*bases), space, spectrum)
+    return list(enumerate(split_sectors(union, bases)))
 
 
 def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) -> int:

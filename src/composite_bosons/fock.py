@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations_with_replacement, product
+from operator import sub
 from typing import Iterable, Iterator, Literal, Mapping
 
 import numpy as np
@@ -34,7 +35,7 @@ class OccupationState:
     molecules: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(n < 0 for n in self.atoms) or any(n < 0 for n in self.molecules):
+        if min((0, *self.atoms, *self.molecules)) < 0:
             raise ValueError("occupation counts must be nonnegative")
         if self.constituents > MAX_CONSTITUENTS:
             raise ValueError(
@@ -52,7 +53,7 @@ class OccupationState:
 
     @property
     def constituents(self) -> int:
-        return self.n_atoms + 2 * self.n_molecules
+        return sum(self.atoms) + 2 * sum(self.molecules)
 
     def __str__(self) -> str:
         atoms = ",".join(str(n) for n in self.atoms)
@@ -102,13 +103,15 @@ def apply_ladder(
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every way to write ``total`` as ``parts`` nonnegative counts, by stars
+    and bars: bar k stands after the first e_k stars, 0 <= e_1 <= ... <=
+    e_{parts-1} <= total, and the counts are the gaps between the bars."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for bars in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*bars, total), (0, *bars)))
 
 
 def sector_dimension(constituents: int, n_atom_modes: int, n_molecule_modes: int) -> int:
@@ -178,6 +181,13 @@ class SectorBasis:
 
     @staticmethod
     def union(*bases: "SectorBasis") -> "SectorBasis":
+        """One basis of the states of ``bases``, in the order given.
+
+        A run assembles all its sectors at once on their union: every term
+        conserves N, so each term there is the direct sum of its sector
+        blocks.  Duplicate states are rejected, so a sector can be listed
+        only once; ``constituents`` is None unless all bases share one.
+        """
         if not bases:
             raise ValueError("union needs at least one basis")
         m = bases[0].n_atom_modes
@@ -330,14 +340,17 @@ def enumerate_sector(
         raise ValueError("constituent number must be nonnegative")
     if constituents > MAX_CONSTITUENTS:
         raise ValueError(f"constituent number {constituents} exceeds {MAX_CONSTITUENTS}")
-    states = [
-        OccupationState(atoms, molecules)
+    counts = [
+        pair
         for n_m in range(constituents // 2 + 1)
-        for atoms in _compositions(constituents - 2 * n_m, n_atom_modes)
-        for molecules in _compositions(n_m, n_molecule_modes)
+        for pair in product(
+            _compositions(constituents - 2 * n_m, n_atom_modes),
+            _compositions(n_m, n_molecule_modes),
+        )
     ]
-    states.sort(key=lambda s: (s.atoms, s.molecules), reverse=True)
-    return SectorBasis(tuple(states), n_atom_modes, n_molecule_modes, constituents)
+    counts.sort(reverse=True)
+    states = tuple(OccupationState(atoms, molecules) for atoms, molecules in counts)
+    return SectorBasis(states, n_atom_modes, n_molecule_modes, constituents)
 
 
 def truncated_states(

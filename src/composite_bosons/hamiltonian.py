@@ -26,6 +26,12 @@ Kronecker product, as ``C`` times the ket ladder with its (image, state)
 pairs as columns, and the block is read straight from the CSR product.
 Each block is bitwise the one the Kronecker form gives.  This route does
 not use :mod:`composite_bosons.algebra`; only the oracle does.
+
+Every term conserves the constituent number, so on a union of fixed-N
+sectors each term is the direct sum of its sector blocks, bit for bit.  A
+run therefore builds its ladders and its seven term blocks once, on the
+union of all its sectors, and :func:`split_sectors` reads each sector's
+Hamiltonian off the result as diagonal slices.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,7 +256,8 @@ def assemble_hamiltonian(
     """Build all seven term blocks and their sum on one sector basis.
 
     Hermiticity of the sum and the bitwise adjoint pairing ``CSS == SSC^T``
-    are asserted, not assumed; a Hermiticity failure names the worst entries.
+    are asserted, not assumed; a Hermiticity failure names the worst entries
+    by their indices in ``basis``, which on a union basis are union indices.
     """
     if tensors is None:
         tensors = coefficient_tensors(space, spectrum)
@@ -273,3 +280,26 @@ def assemble_hamiltonian(
     if not all(np.array_equal(x, y) for x, y in pairs):
         raise HermiticityError("rearrangement blocks are not adjoint: CSS differs from SSC^T")
     return SparseHamiltonian(basis, terms, total)
+
+
+def split_sectors(ham: SparseHamiltonian, bases: Sequence[SectorBasis]) -> list[SparseHamiltonian]:
+    """The Hamiltonian of each basis, read off ``ham`` assembled on their union.
+
+    ``ham.basis`` must be ``SectorBasis.union(*bases)``.  Each sector's term
+    blocks and total are diagonal slices of ``ham``'s, bitwise equal to
+    :func:`assemble_hamiltonian` on the sector itself: no term couples two
+    sectors, the total merges the terms in the same order, and the drop
+    only pairs entries within one sector.  The slices are copies, so
+    ``ham`` can be freed once they are taken.
+    """
+    bounds = np.cumsum([0, *(basis.dim for basis in bases)]).tolist()
+    if bounds[-1] != ham.basis.dim:
+        raise ValueError(f"sectors of total dimension {bounds[-1]} do not split {ham.basis.dim}")
+    return [
+        SparseHamiltonian(
+            basis,
+            {term: block.diagonal_block(lo, hi) for term, block in ham.terms.items()},
+            ham.total.diagonal_block(lo, hi),
+        )
+        for basis, lo, hi in zip(bases, bounds, bounds[1:])
+    ]

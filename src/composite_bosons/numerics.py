@@ -189,6 +189,21 @@ class SparseMatrix:
         order = np.argsort(self.cols, kind="stable")
         return SparseMatrix(self.dim, self.cols[order], self.rows[order], self.vals[order])
 
+    def diagonal_block(self, lo: int, hi: int) -> "SparseMatrix":
+        """The block of rows and columns ``lo .. hi - 1``, re-based to ``lo``.
+
+        The rows are sorted, so the block's entries are one slice of the
+        storage, and it is already canonical.  Raises ValueError when a row
+        of the block holds an entry outside its columns.
+        """
+        if not 0 <= lo <= hi <= self.dim:
+            raise ValueError(f"block [{lo}, {hi}) out of range for dimension {self.dim}")
+        start, stop = np.searchsorted(self.rows, (lo, hi))
+        cols = self.cols[start:stop] - lo
+        if cols.size and (cols.min() < 0 or cols.max() >= hi - lo):
+            raise ValueError(f"rows [{lo}, {hi}) couple outside the block")
+        return SparseMatrix(hi - lo, self.rows[start:stop] - lo, cols, self.vals[start:stop].copy())
+
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
 

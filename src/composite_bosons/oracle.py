@@ -67,7 +67,7 @@ from .algebra import (
     formal_inner_product,
     pair_interaction_ops,
 )
-from .fock import OccupationState, enumerate_sector, normalization_constant
+from .fock import OccupationState, SectorBasis, enumerate_sector, normalization_constant
 from .hamiltonian import TermId, build_term, coefficient_tensors
 from .modespace import CompositeSpectrum, ModeSpace
 from .numerics import SparseMatrix
@@ -594,15 +594,30 @@ def sweep_columns(
     fragment reaches the engine twice, even relabeled.  Each term block is
     read once as Python floats; ``Column.rows`` joins its stored rows and
     the bras the oracle column adds to, and ``diff`` is computed there only.
-    Nothing else is kept from one column to the next, so a consumer that
-    does not keep the columns runs in memory that does not grow with their
-    number.
+
+    The second-quantized blocks are built once per term, on the union of the
+    distinct requested sectors, and each sector's block is read off as a
+    diagonal slice, bitwise the block :func:`build_term` gives on the sector
+    itself; repeated or unordered sector numbers are swept in the order
+    given.  Beyond those blocks nothing is kept from one column to the next,
+    so a consumer that does not keep the columns runs in memory that does
+    not grow with their number.
     """
+    numbers = list(sector_numbers)
+    if not numbers:
+        return
     eng = ElementEngine(space, spectrum)
     memo = _Memo()
+    bases = {
+        n: enumerate_sector(n, space.n_modes, spectrum.n_composites)
+        for n in dict.fromkeys(numbers)
+    }
+    union = SectorBasis.union(*bases.values())
     tensors = coefficient_tensors(space, spectrum)
-    for n in sector_numbers:
-        basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
+    union_blocks = {term: build_term(term, union, space, spectrum, tensors) for term in terms}
+    starts = dict(zip(bases, np.cumsum([0, *(b.dim for b in bases.values())]).tolist()))
+    for n in numbers:
+        basis, lo = bases[n], starts[n]
         names = [str(s) for s in basis.states]
         kets = [_ket(s, space.n_modes, spectrum.n_composites) for s in basis.states]
         index = {
@@ -610,7 +625,7 @@ def sweep_columns(
             for i, (ket, s) in enumerate(zip(kets, basis.states))
         }
         for term in terms:
-            block = build_term(term, basis, space, spectrum, tensors)
+            block = union_blocks[term].diagonal_block(lo, lo + basis.dim)
             sq_columns = block.to_dense().T.tolist()
             stored = _stored_rows(block)
             for j, ket in enumerate(kets):

@@ -211,6 +211,31 @@ def test_hermiticity_error_exit_code(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "export-matrix"])
+def test_sectors_are_assembled_once_on_their_union(tmp_path, monkeypatch, command):
+    from composite_bosons import hamiltonian
+
+    calls = {"assemble": [], "build_term": 0}
+    assemble, build_term = cli.assemble_hamiltonian, hamiltonian.build_term
+
+    def counting_assemble(basis, *args, **kwargs):
+        calls["assemble"].append(basis)
+        return assemble(basis, *args, **kwargs)
+
+    def counting_build_term(*args, **kwargs):
+        calls["build_term"] += 1
+        return build_term(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", counting_assemble)
+    monkeypatch.setattr(hamiltonian, "build_term", counting_build_term)
+    cfg = write_config(tmp_path, TWO_SITE_CSV)
+    assert cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    [basis] = calls["assemble"]
+    assert basis.constituents is None and basis.dim == 1 + 2 + 4  # sectors N = 0, 1, 2
+    assert calls["build_term"] == 7
+    assert len(list((tmp_path / "o").glob("term_*_sector_*.csv"))) == 3 * 7
+
+
 def test_non_symmetric_error_exit_code(tmp_path, monkeypatch, capsys):
     from composite_bosons.numerics import NonSymmetricError
 

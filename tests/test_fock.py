@@ -53,6 +53,42 @@ def test_sector_sizes_match_closed_form():
                 assert len(set(basis.states)) == basis.dim
 
 
+def _recursive_compositions(total, parts):
+    """The recursive generator ``fock._compositions`` replaced; the reference."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursive_generator():
+    for parts in range(9):
+        for total in range(7):
+            got = list(fock._compositions(total, parts))
+            want = list(_recursive_compositions(total, parts))
+            assert len(got) == len(set(got)), (total, parts)
+            assert sorted(got) == sorted(want), (total, parts)
+
+
+def test_sectors_match_the_recursive_enumeration():
+    # the states the recursive generator gave, in the documented order
+    for m in range(1, 9):
+        for a in range(7):
+            for n in range(7):
+                want = [
+                    (atoms, molecules)
+                    for n_m in range(n // 2 + 1)
+                    for atoms in _recursive_compositions(n - 2 * n_m, m)
+                    for molecules in _recursive_compositions(n_m, a)
+                ]
+                want.sort(reverse=True)
+                got = enumerate_sector(n, m, a).states
+                assert [(s.atoms, s.molecules) for s in got] == want, (n, m, a)
+
+
 def test_normalization_worked_values():
     one_atom = OccupationState((1, 0), (0,))
     assert normalization_constant(one_atom) == 1.0
@@ -98,6 +134,16 @@ def test_pretty_print():
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         OccupationState((-1,), ())
+
+
+@pytest.mark.parametrize("atoms, molecules", [((0, 2), (0, -1)), ((), (-3,)), ((1, -1), (1,))])
+def test_negative_counts_rejected_in_either_species(atoms, molecules):
+    with pytest.raises(ValueError, match="nonnegative"):
+        OccupationState(atoms, molecules)
+
+
+def test_modeless_state_is_the_vacuum():
+    assert OccupationState((), ()).constituents == 0
 
 
 def test_constituent_guard():

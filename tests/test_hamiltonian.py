@@ -14,6 +14,7 @@ from composite_bosons.hamiltonian import (
     assemble_hamiltonian,
     build_term,
     coefficient_tensors,
+    split_sectors,
 )
 from composite_bosons.modespace import BelowEdge, LowestK, mode_space
 from composite_bosons.models import build_ring_model, random_mode_space
@@ -257,6 +258,47 @@ def test_union_basis_terms_are_direct_sums(random_model):
         assert np.array_equal(got.rows, np.concatenate([low.rows, high.rows + b2.dim])), term
         assert np.array_equal(got.cols, np.concatenate([low.cols, high.cols + b2.dim])), term
         assert np.array_equal(got.vals, np.concatenate([low.vals, high.vals])), term
+
+
+def _assert_same_storage(got: SparseMatrix, want: SparseMatrix, what) -> None:
+    assert got.dim == want.dim, what
+    for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
+        assert a.dtype == b.dtype, what
+        assert np.array_equal(a, b), what
+
+
+@pytest.mark.parametrize(
+    "space, policy, n_max",
+    [
+        (build_ring_model(6, 1.0, -20.0), BelowEdge(), 4),
+        (build_ring_model(8, 1.0, -20.0), LowestK(1), 4),
+        (random_mode_space(3, seed=20240, attraction=(40.0, 55.0)), LowestK(2), 5),
+        (build_ring_model(2, 1.0, -4.0), LowestK(1), 4),
+    ],
+    ids=["ring6", "ring8", "random3", "two_site"],
+)
+def test_split_union_equals_per_sector_assembly(space, policy, n_max):
+    spectrum = space.solve_composites(policy)
+    tensors = coefficient_tensors(space, spectrum)
+    bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(n_max + 1)]
+    union = assemble_hamiltonian(SectorBasis.union(*bases), space, spectrum, tensors)
+    sectors = split_sectors(union, bases)
+    assert len(sectors) == len(bases)
+    for n, (basis, got) in enumerate(zip(bases, sectors)):
+        want = assemble_hamiltonian(basis, space, spectrum, tensors)
+        assert got.basis is basis
+        assert list(got.terms) == list(TermId)
+        for term in TermId:
+            _assert_same_storage(got.terms[term], want.terms[term], (n, term))
+        _assert_same_storage(got.total, want.total, (n, "total"))
+
+
+def test_split_needs_the_union_of_the_sectors(random_model):
+    space, spectrum = random_model
+    bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(3)]
+    union = assemble_hamiltonian(SectorBasis.union(*bases), space, spectrum)
+    with pytest.raises(ValueError, match="do not split"):
+        split_sectors(union, bases[:2])
 
 
 def test_ring6_n6_sector_assembles():

@@ -282,3 +282,33 @@ def test_csr_and_asymmetry_are_built_once(monkeypatch):
         sparse_lowest_eigen(m, 1)
     with pytest.raises(ValueError, match="read-only"):
         m.vals[0] = 2.0
+
+
+def test_diagonal_block_is_the_dense_block_rebased():
+    mat = np.zeros((6, 6))
+    mat[0, 0], mat[1, 2], mat[2, 1] = 1.0, 2.0, 2.0
+    mat[3, 3], mat[4, 5], mat[5, 4], mat[5, 5] = -1.0, 0.5, 0.5, 3.0
+    stored = sparse_from_dense(mat)
+    for lo, hi in ((0, 1), (1, 3), (3, 6), (0, 3), (0, 6), (2, 2)):
+        block = stored.diagonal_block(lo, hi)
+        want = sparse_from_dense(mat[lo:hi, lo:hi])
+        assert block.dim == hi - lo
+        for got, ref in ((block.rows, want.rows), (block.cols, want.cols), (block.vals, want.vals)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+            assert not got.flags.writeable
+    assert stored.diagonal_block(1, 3).vals.base is None  # a copy: the parent can be freed
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2), (2, 4), (2, 6)])
+def test_diagonal_block_rejects_coupling_outside_the_block(lo, hi):
+    mat = np.eye(6)
+    mat[1, 2] = mat[2, 1] = 0.25
+    with pytest.raises(ValueError, match="couple outside"):
+        sparse_from_dense(mat).diagonal_block(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 7)])
+def test_diagonal_block_rejects_a_range_outside_the_matrix(lo, hi):
+    with pytest.raises(ValueError, match="out of range"):
+        sparse_from_dense(np.eye(6)).diagonal_block(lo, hi)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from composite_bosons import algebra, oracle
@@ -486,3 +487,27 @@ def test_verify_sectors_full_sweep_n6(random_model):
     report = verify_sectors(space, spectrum, [6], include_rows=False)
     assert report["summary"]["pairs_checked"] == 7 * 80**2 == 44_800
     assert report["summary"]["max_abs_diff"] <= 1e-10
+
+
+@pytest.mark.parametrize("numbers", [[2, 2], [3, 1], [4, 0, 2], []])
+def test_sweep_columns_takes_sectors_in_the_order_given(random_model, numbers):
+    # the sq blocks come off one union of the distinct sectors; each column is
+    # still the one a sweep of its sector alone gives, and its sq values are
+    # bitwise the sector's own build_term column
+    from composite_bosons.hamiltonian import build_term
+
+    space, spectrum = random_model
+    got = list(oracle.sweep_columns(space, spectrum, iter(numbers)))
+    want = [col for n in numbers for col in oracle.sweep_columns(space, spectrum, [n])]
+    assert got == want
+    bases = {n: enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in numbers}
+    assert [col.sector for col in got] == [n for n in numbers for _ in range(7 * bases[n].dim)]
+    blocks = {
+        (n, term.value): build_term(term, basis, space, spectrum).to_dense()
+        for n, basis in bases.items()
+        for term in TermId
+    }
+    for col in got:
+        assert col.bras == [str(s) for s in bases[col.sector].states]
+        want_sq = blocks[col.sector, col.term][:, col.bras.index(col.ket)]
+        assert np.array_equal(np.array(col.sq).view(np.int64), want_sq.view(np.int64))
