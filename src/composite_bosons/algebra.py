@@ -7,9 +7,13 @@ evaluation are deliberately kept apart:
 * :func:`formal_inner_product` applies the ideal mode-orthogonality rules:
   factors overlap only when their partition structure matches exactly,
   atoms by mode delta, pairs by composite-index delta.
-* :func:`labeled_matrix_element` is exact multilinear contraction of one-
-  and two-body operators, with pairs expanded through their coefficient
-  tensors; no idealization enters here.
+* :func:`fragment_table` is exact multilinear contraction of one- and
+  two-body operators between projector slots, for every mode choice of the
+  slots at once, with pairs expanded through their coefficient tensors; no
+  idealization enters here.  The oracle reads its amplitudes from these
+  tables.  :func:`labeled_matrix_element` and :class:`ElementEngine`
+  contract one element at a time; they are kept as the per-element
+  reference the tables are tested against.
 """
 
 from __future__ import annotations
@@ -251,7 +255,7 @@ def _single_op_value(
         subscripts.append(bra_sub[op.label] + ket_sub[op.label])
     else:
         subscripts.append(bra_sub[op.a] + bra_sub[op.b] + ket_sub[op.a] + ket_sub[op.b])
-    return _contract(",".join(subscripts) + "->", operands)
+    return float(_contract(",".join(subscripts) + "->", operands))
 
 
 def _fused(ops: Sequence[Operator]) -> list[tuple[Operator, bool, bool]]:
@@ -273,15 +277,16 @@ def _fused(ops: Sequence[Operator]) -> list[tuple[Operator, bool, bool]]:
     return fused
 
 
-def _contract(expr: str, operands: list[np.ndarray]) -> float:
-    """The full contraction ``expr`` of ``operands``, run along its cached steps.
+def _contract(expr: str, operands: list[np.ndarray]) -> np.ndarray:
+    """The contraction ``expr`` of ``operands``, run along its cached steps.
 
     Each step pops its operands and appends their two-operand einsum, so
-    numpy plans nothing per call.
+    numpy plans nothing per call.  The last step writes the output indices
+    of ``expr``; with none, the result is a 0-d array.
     """
     for positions, subscripts in _contraction_steps(expr, tuple(a.shape for a in operands)):
         operands.append(np.einsum(subscripts, *[operands.pop(p) for p in positions]))
-    return float(operands[0])
+    return operands[0]
 
 
 def _contraction_path(expr: str, shapes: tuple[tuple[int, ...], ...]) -> list:
@@ -316,6 +321,89 @@ def _contraction_steps(
         remaining.append(kept)
         steps.append((positions, ",".join(picked) + "->" + kept))
     return tuple(steps)
+
+
+Slot = tuple[str, object]  # ("S", label) for an atom, ("C", (i, j)) with i < j for a pair
+
+
+def slot_labels(slot: Slot) -> tuple[int, ...]:
+    kind, where = slot
+    return (where,) if kind == "S" else where  # type: ignore[return-value]
+
+
+def fragment_table(
+    left: Sequence[Slot],
+    ops: Sequence[Operator],
+    right: Sequence[Slot],
+    space: ModeSpace,
+    spectrum: CompositeSpectrum | None = None,
+) -> np.ndarray:
+    """<left config| sum(ops) |right config> for every mode choice at once.
+
+    ``left`` and ``right`` are projector slots over one label set.  The
+    table is indexed (left slot indices..., right slot indices...): a mode
+    for an atom slot, a composite for a pair slot.  Entry for entry it is
+    :func:`labeled_matrix_element` between the unit-weight products that
+    fill the slots, up to roundoff.
+
+    Operators are fused as there, and each fused operator is one
+    contraction, its subscripts generated as :func:`_single_op_value`
+    generates them.  An atom slot's letter is a free output index, so no
+    one-hot vector enters; a pair slot contributes the coefficient tensor
+    with its composite index free.  A spectator label that is an atom on
+    both sides gets a bra and a ket letter joined by an identity operand,
+    since one letter cannot be two output indices.  Each contraction runs
+    along its cached steps, the last of which writes the table's indices.
+    """
+    labels = sorted(lab for slot in right for lab in slot_labels(slot))
+    left_labels = sorted(lab for slot in left for lab in slot_labels(slot))
+    if left_labels != labels:
+        raise ValueError(f"label sets differ: left covers {left_labels}, right covers {labels}")
+    for op in ops:
+        missing = set(_op_labels(op)) - set(labels)
+        if missing:
+            raise ValueError(f"operator acts on labels {sorted(missing)} not in the slots")
+    if spectrum is None and any(kind == "C" for kind, _ in (*left, *right)):
+        raise ValueError("matrix element with pair factors needs a composite spectrum")
+    sizes = {"S": space.n_modes, "C": spectrum.n_composites if spectrum is not None else 0}
+    table = np.zeros([sizes[kind] for kind, _ in (*left, *right)])
+    atoms_both = {w for k, w in left if k == "S"} & {w for k, w in right if k == "S"}
+    for op, first, second in _fused(ops):
+        acted = set(_op_labels(op))
+        letters = iter(string.ascii_letters)
+        bra_sub: dict[int, str] = {}
+        ket_sub: dict[int, str] = {}
+        operands: list[np.ndarray] = []
+        subscripts: list[str] = []
+        for lab in labels:
+            bra_sub[lab] = next(letters)
+            if lab in acted:
+                ket_sub[lab] = next(letters)
+            elif lab in atoms_both:
+                ket_sub[lab] = next(letters)
+                operands.append(np.eye(space.n_modes))
+                subscripts.append(bra_sub[lab] + ket_sub[lab])
+            else:
+                ket_sub[lab] = bra_sub[lab]
+        output = []
+        for slots, sub in ((left, bra_sub), (right, ket_sub)):
+            for kind, where in slots:
+                if kind == "S":
+                    output.append(sub[where])  # type: ignore[index]
+                else:
+                    i, j = where  # type: ignore[misc]
+                    composite = next(letters)
+                    operands.append(spectrum.coefficients)  # type: ignore[union-attr]
+                    subscripts.append(composite + sub[i] + sub[j])
+                    output.append(composite)
+        if isinstance(op, OneBody):
+            operands.append(space.one_body.mat)
+            subscripts.append(bra_sub[op.label] + ket_sub[op.label])
+        else:
+            operands.append(space.pair_operator(first, second))
+            subscripts.append(bra_sub[op.a] + bra_sub[op.b] + ket_sub[op.a] + ket_sub[op.b])
+        table += _contract(",".join(subscripts) + "->" + "".join(output), operands)
+    return table
 
 
 def labeled_matrix_element(
@@ -355,6 +443,10 @@ def labeled_matrix_element(
 
 class ElementEngine:
     """Caches exact matrix elements between small formal fragments.
+
+    The oracle reads its amplitudes from :func:`fragment_table`; the engine
+    is the per-element reference the tables are tested against, and stays
+    importable for the benchmark's per-layer algebra metrics.
 
     Each distinct (bra structure, operator list, ket structure) is contracted
     once up to label names.  Bra/ket orientation is canonicalized first, by

@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,6 +84,14 @@ CoefficientTensors = Mapping[TermId, np.ndarray]
 # Bra-ket coefficients, one tensor per term.
 
 
+@lru_cache(maxsize=None)
+def _greedy_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """The path ``np.einsum(..., optimize=True)`` searches for operands of
+    ``shapes``, searched once per (subscripts, shapes); einsum runs along it
+    bitwise as along a fresh search."""
+    return np.einsum_path(subscripts, *(np.empty(shape) for shape in shapes), optimize="greedy")[0]
+
+
 def coefficient_tensors(space: ModeSpace, spectrum: CompositeSpectrum) -> dict[TermId, np.ndarray]:
     """The seven coefficient tensors of one model.
 
@@ -98,7 +107,8 @@ def coefficient_tensors(space: ModeSpace, spectrum: CompositeSpectrum) -> dict[T
     phi = spectrum.coefficients
 
     def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        return np.einsum(subscripts, *operands, optimize=True)
+        path = _greedy_path(subscripts, tuple(a.shape for a in operands))
+        return np.einsum(subscripts, *operands, optimize=path)
 
     # Bra tensors times an operator, indexed by the ket modes of particles
     # 1, 2, ... in their last axes.

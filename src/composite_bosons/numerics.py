@@ -236,7 +236,8 @@ def sparse_lowest_eigen(m: SparseMatrix, k: int) -> Matrix:
     Uses an ARPACK Krylov iteration (full reorthogonalization, fixed-seed
     start vector); dimensions too small for ARPACK's ``k < dim - 1``
     requirement are solved densely, which agrees within the documented
-    1e-8 tolerance.
+    1e-8 tolerance.  Both paths reject asymmetry above ``SYMMETRY_TOL``;
+    the dense one checks the dense matrix and builds no CSR.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -244,14 +245,14 @@ def sparse_lowest_eigen(m: SparseMatrix, k: int) -> Matrix:
         raise ValueError(f"k={k} exceeds matrix dimension {m.dim}")
     if k == 0:
         return np.zeros(0)
+    if m.dim <= _DENSE_FALLBACK_DIM or k >= m.dim - 1:
+        values, _ = dense_symmetric_eigen(m.to_dense())
+        return values[:k].copy()
     asym = m.max_abs_asymmetry()
     if asym > SYMMETRY_TOL:
         raise NonSymmetricError(
             f"sparse matrix is not symmetric: max |A - A^T| = {asym:.3e}"
         )
-    if m.dim <= _DENSE_FALLBACK_DIM or k >= m.dim - 1:
-        values, _ = dense_symmetric_eigen(m.to_dense())
-        return values[:k].copy()
     rng = np.random.default_rng(_START_VECTOR_SEED)
     v0 = rng.standard_normal(m.dim)
     v0 /= np.linalg.norm(v0)

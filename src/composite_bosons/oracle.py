@@ -14,10 +14,14 @@ atoms, which are paired), not on the modes; so does every bra configuration
 a matched blueprint emits.  The core plans that once per (term, layout).
 The amplitudes a matched blueprint emits depend only on its shape (the
 term, operators and slots with labels renumbered in order) and the modes of
-the matched factors, so each shape reaches the engine once per bra, and its
-emissions are stored as (position in the bra list, amplitude).  Plans and
-emissions live in a memo the caller creates per call, so nothing outlives
-one model or one sweep.
+the matched factors.  Each shape is contracted once, as one
+:func:`~composite_bosons.algebra.fragment_table` per left structure over
+every mode choice of its slots, and the emissions of a matched mode choice
+are the nonzero entries of that choice's column, stored as (position in the
+bra list, amplitude).  Plans and tables live in a memo the caller creates
+per call, so nothing outlives one model or one sweep.  The tables are
+built from the blueprint slots alone, never from the second-quantized
+coefficient tensors.
 
 :func:`apply_projected_term` collects the core's output products.
 :func:`oracle_matrix_element` applies a term to every labeled product of the
@@ -56,16 +60,18 @@ import numpy as np
 
 from .algebra import (
     Atom,
-    ElementEngine,
     FormalFactor,
     FormalProduct,
     FormalState,
     OneBody,
     Operator,
     Pair,
+    Slot,
     TwoBody,
     formal_inner_product,
+    fragment_table,
     pair_interaction_ops,
+    slot_labels,
 )
 from .fock import OccupationState, SectorBasis, enumerate_sector, normalization_constant
 from .hamiltonian import TermId, build_term, coefficient_tensors
@@ -155,7 +161,6 @@ def labeled_product_weight(state: OccupationState) -> float:
 # Blueprints: for every index region of a term, the right projector slots,
 # the sandwiched operator, and the left projector structures to re-emit.
 
-Slot = tuple[str, object]  # ("S", label) or ("C", (label, label))
 Blueprint = tuple[tuple[Slot, ...], tuple[Operator, ...], tuple[tuple[Slot, ...], ...]]
 
 
@@ -271,7 +276,7 @@ def _match_slots(
     maps the labels of each factor of the layout to its position."""
     matched = []
     for slot in slots:
-        p = position.get(_slot_labels(slot))
+        p = position.get(slot_labels(slot))
         if p is None:
             return None
         matched.append(p)
@@ -296,18 +301,13 @@ def _emit_configs(
         yield tuple(factors)
 
 
-def _slot_labels(slot: Slot) -> tuple[int, ...]:
-    kind, where = slot
-    return (where,) if kind == "S" else where  # type: ignore[return-value]
-
-
 def _shape(term: TermId, ops: tuple[Operator, ...], right: tuple[Slot, ...],
            left: tuple[tuple[Slot, ...], ...]) -> tuple:
     """A matched blueprint with its labels renumbered 0, 1, ... in order."""
-    rank = {lab: r for r, lab in enumerate(sorted(sum(map(_slot_labels, right), ())))}.__getitem__
+    rank = {lab: r for r, lab in enumerate(sorted(sum(map(slot_labels, right), ())))}.__getitem__
 
     def slots(group: tuple[Slot, ...]) -> tuple:
-        return tuple((slot[0], tuple(map(rank, _slot_labels(slot)))) for slot in group)
+        return tuple((slot[0], tuple(map(rank, slot_labels(slot)))) for slot in group)
 
     acted = (((op.label,) if isinstance(op, OneBody) else (op.a, op.b)) for op in ops)
     return (term, tuple(tuple(map(rank, labs)) for labs in acted),
@@ -315,25 +315,64 @@ def _shape(term: TermId, ops: tuple[Operator, ...], right: tuple[Slot, ...],
 
 
 @dataclass(eq=False)
+class _Table:
+    """The amplitudes of one blueprint shape for every mode choice.
+
+    ``amplitudes`` is indexed (bra position, matched modes...): the
+    :func:`fragment_table` of each left structure, its left axes flattened
+    in :func:`_emit_configs` order, concatenated over the structures.  It is
+    built on first use from any one blueprint of the shape: an
+    order-preserving relabeling generates the same contractions, so every
+    blueprint of the shape gets the same table.  ``emissions`` maps each
+    matched mode choice to the nonzero ``(bra position, amplitude)`` entries
+    of its column, in bra order.
+    """
+
+    left: tuple[tuple[Slot, ...], ...]
+    ops: tuple[Operator, ...]
+    right: tuple[Slot, ...]
+    space: ModeSpace
+    spectrum: CompositeSpectrum
+    emissions: dict[tuple[int, ...], list[Emission]] = field(default_factory=dict)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        parts = [
+            fragment_table(slots, self.ops, self.right, self.space, self.spectrum)
+            for slots in self.left
+        ]
+        return np.concatenate([part.reshape(-1, *part.shape[len(slots):])
+                               for part, slots in zip(parts, self.left)])
+
+    def emitted(self, matched_modes: tuple[int, ...]) -> list[Emission]:
+        out = self.emissions.get(matched_modes)
+        if out is None:
+            column = self.amplitudes[(slice(None), *matched_modes)]
+            nonzero = np.flatnonzero(column)
+            out = self.emissions[matched_modes] = list(
+                zip(nonzero.tolist(), column[nonzero].tolist())
+            )
+        return out
+
+
+@dataclass(eq=False)
 class _Entry:
     """One blueprint of a term matched against one label layout.
 
-    It holds the operators, the matched factor positions (in slot order) and
-    the spectator positions.  The bra configurations of its left structures,
-    in emission order, are built on first use: as products where a
-    contraction or an output product needs them, and as (key, occupation)
+    It holds the matched factor positions (in slot order), the spectator
+    positions and the table of the blueprint's shape, shared by every entry
+    of that shape: an order-preserving relabeling maps bra k of one entry
+    to bra k of the other with the same amplitude.  The bra configurations
+    of its left structures, in emission order, are built on first use: as
+    products where an output product needs them, and as (key, occupation)
     codes (:func:`_slot_codes`, over labels 1..n) where the sweep merges
-    emissions.  ``emissions`` maps the matched modes to the nonzero
-    ``(bra position, amplitude)`` list and is shared by every entry of the
-    same shape: an order-preserving relabeling maps bra k of one entry to
-    bra k of the other and leaves each amplitude bitwise the same.
+    emissions.
     """
 
-    ops: tuple[Operator, ...]
     matched: tuple[int, ...]
     spectators: tuple[int, ...]
     left: tuple[tuple[Slot, ...], ...]
-    emissions: dict[tuple[int, ...], list[Emission]]
+    table: _Table
     n: int  # the number of labels
     sizes: tuple[int, int]  # (M, A)
 
@@ -353,38 +392,31 @@ class _Entry:
             for choice in product(*(_slot_codes(slot, self.n, *self.sizes) for slot in slots))
         ]
 
-    def emitted(self, modes: tuple[int, ...], factors: Factors, eng: ElementEngine) -> list[Emission]:
+    def emitted(self, modes: tuple[int, ...]) -> list[Emission]:
         """The nonzero emissions of a product with these factor modes."""
-        matched_modes = tuple([modes[p] for p in self.matched])
-        out = self.emissions.get(matched_modes)
-        if out is None:
-            ket = FormalProduct(1.0, tuple([factors[p] for p in self.matched]))
-            out = self.emissions[matched_modes] = [
-                (k, amp)
-                for k, bra in enumerate(self.bras)
-                if (amp := eng.element(bra, self.ops, ket)) != 0.0
-            ]
-        return out
+        return self.table.emitted(tuple([modes[p] for p in self.matched]))
 
 
 @dataclass
 class _Memo:
     """What one call works out once and reuses across its products: the
     blueprints of each (term, labels), the plan of each (term, label
-    layout) and, per shape, the emissions of each matched mode choice.  The
-    caller creates one per call, so nothing outlives one model or sweep."""
+    layout) and the table of each shape.  The caller creates one per call,
+    so nothing outlives one model or sweep."""
 
+    space: ModeSpace
+    spectrum: CompositeSpectrum
     blueprints: dict[tuple, list[Blueprint]] = field(default_factory=dict)
     plans: dict[tuple, list[_Entry]] = field(default_factory=dict)
-    emissions: dict[tuple, dict[tuple[int, ...], list[Emission]]] = field(default_factory=dict)
+    tables: dict[tuple, _Table] = field(default_factory=dict)
 
 
-def _plan(term: TermId, layout: Layout, eng: ElementEngine, memo: _Memo) -> list[_Entry]:
+def _plan(term: TermId, layout: Layout, memo: _Memo) -> list[_Entry]:
     """Every blueprint of ``term`` that matches ``layout``, planned once per call."""
     plan = memo.plans.get((term, layout))
     if plan is not None:
         return plan
-    sizes = (eng.space.n_modes, eng.spectrum.n_composites)
+    sizes = (memo.space.n_modes, memo.spectrum.n_composites)
     labels = tuple(sorted(lab for labs in layout for lab in labs))
     blueprints = memo.blueprints.get((term, labels))
     if blueprints is None:
@@ -396,32 +428,33 @@ def _plan(term: TermId, layout: Layout, eng: ElementEngine, memo: _Memo) -> list
         if matched is None:
             continue
         spectators = tuple(p for p in range(len(layout)) if p not in matched)
-        emissions = memo.emissions.setdefault(_shape(term, ops, right, left), {})
-        plan.append(_Entry(ops, matched, spectators, left, emissions, len(labels), sizes))
+        shape = _shape(term, ops, right, left)
+        table = memo.tables.get(shape)
+        if table is None:
+            table = memo.tables[shape] = _Table(left, ops, right, memo.space, memo.spectrum)
+        plan.append(_Entry(matched, spectators, left, table, len(labels), sizes))
     return plan
 
 
 def _emissions(
-    term: TermId, prod: FormalProduct, eng: ElementEngine, memo: _Memo
+    term: TermId, prod: FormalProduct, memo: _Memo
 ) -> Iterator[tuple[_Entry, list[Emission]]]:
     """The emission core of a projected term applied to one labeled product.
 
     For each blueprint whose right slots match ``prod`` it yields the plan
     entry and the nonzero ``(bra position, amplitude)`` emissions of its left
     structures; the entry names the matched and spectator factors and the
-    bras.  The amplitude is the exact fragment element; ``prod``'s own
-    weight is not applied.
+    bras.  The amplitude is the exact fragment element, read from the
+    shape's table; ``prod``'s own weight is not applied.
 
-    ``memo`` holds the plan of each (term, label layout) and, per shape (the
-    term, operators and slots with labels renumbered in order), the
-    emissions of each matched mode choice; the caller creates it per call
-    and reuses it across the products of that call, so each shape reaches
-    the engine once per bra.
+    ``memo`` holds the plan of each (term, label layout) and the table of
+    each shape (the term, operators and slots with labels renumbered in
+    order); the caller creates it per call and reuses it across the
+    products of that call, so each shape is contracted once.
     """
-    factors = prod.factors
-    modes = tuple(map(_mode_of, factors))
-    for entry in _plan(term, tuple(map(_labels_of, factors)), eng, memo):
-        emitted = entry.emitted(modes, factors, eng)
+    modes = tuple(map(_mode_of, prod.factors))
+    for entry in _plan(term, tuple(map(_labels_of, prod.factors)), memo):
+        emitted = entry.emitted(modes)
         if emitted:
             yield entry, emitted
 
@@ -452,7 +485,6 @@ def _oracle_column(
     ket: _Ket,
     index: dict[int, tuple[int, float]],
     dim: int,
-    eng: ElementEngine,
     memo: _Memo,
 ) -> tuple[list[float], set[int]]:
     """Column ``<i|term|ket>`` read from the emissions of ket's representative,
@@ -468,8 +500,8 @@ def _oracle_column(
     """
     merged: dict[int, list] = {}  # product key -> [weight, occupation]
     weight = ket.weight
-    for entry in _plan(term, ket.layout, eng, memo):
-        emitted = entry.emitted(ket.modes, ket.factors, eng)
+    for entry in _plan(term, ket.layout, memo):
+        emitted = entry.emitted(ket.modes)
         if not emitted:
             continue
         key, occupation = ket.key, ket.occupation
@@ -500,7 +532,6 @@ def apply_projected_term(
     state: FormalState,
     space: ModeSpace,
     spectrum: CompositeSpectrum,
-    engine: ElementEngine | None = None,
 ) -> FormalState:
     """Apply one first-quantized projected term to a formal state.
 
@@ -508,15 +539,14 @@ def apply_projected_term(
     state.  Terms whose arity exceeds the particle count simply produce the
     empty (annihilating) state.
     """
-    eng = engine if engine is not None else ElementEngine(space, spectrum)
-    memo = _Memo()
+    memo = _Memo(space, spectrum)
     out = [
         FormalProduct(
             prod.weight * amp,
             entry.bras[k].factors + tuple([prod.factors[p] for p in entry.spectators]),
         )
         for prod in state.products
-        for entry, emitted in _emissions(term, prod, eng, memo)
+        for entry, emitted in _emissions(term, prod, memo)
         for k, amp in emitted
     ]
     if not out:
@@ -530,12 +560,11 @@ def oracle_matrix_element(
     ket: OccupationState,
     space: ModeSpace,
     spectrum: CompositeSpectrum,
-    engine: ElementEngine | None = None,
 ) -> float:
     """<bra|term|ket> by permutation expansion, without ladder operators."""
     if bra.constituents != ket.constituents:
         return 0.0
-    applied = apply_projected_term(term, expand_basis_state(ket), space, spectrum, engine)
+    applied = apply_projected_term(term, expand_basis_state(ket), space, spectrum)
     if applied.is_empty:
         return 0.0
     return formal_inner_product(expand_basis_state(bra), applied)
@@ -589,9 +618,9 @@ def sweep_columns(
     one :func:`apply_projected_term` would give.
 
     One memo serves the whole sweep: the plan of each (term, label layout),
-    and the emissions of each shape and matched mode choice, are computed
-    once and reused by every ket, sector and term that meets them, so no
-    fragment reaches the engine twice, even relabeled.  Each term block is
+    the table of each shape and the emissions of each matched mode choice
+    are computed once and reused by every ket, sector and term that meets
+    them, so each shape is contracted once, even relabeled.  Each term block is
     read once as Python floats; ``Column.rows`` joins its stored rows and
     the bras the oracle column adds to, and ``diff`` is computed there only.
 
@@ -606,8 +635,7 @@ def sweep_columns(
     numbers = list(sector_numbers)
     if not numbers:
         return
-    eng = ElementEngine(space, spectrum)
-    memo = _Memo()
+    memo = _Memo(space, spectrum)
     bases = {
         n: enumerate_sector(n, space.n_modes, spectrum.n_composites)
         for n in dict.fromkeys(numbers)
@@ -630,7 +658,7 @@ def sweep_columns(
             stored = _stored_rows(block)
             for j, ket in enumerate(kets):
                 sq = sq_columns[j]
-                oracle, touched = _oracle_column(term, ket, index, basis.dim, eng, memo)
+                oracle, touched = _oracle_column(term, ket, index, basis.dim, memo)
                 rows = sorted(touched.union(stored[j]))
                 diff = [0.0] * basis.dim
                 for i in rows:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composite_bosons import algebra
+from composite_bosons import algebra, oracle
 from composite_bosons.algebra import (
     Atom,
     ElementEngine,
@@ -356,12 +356,33 @@ def test_engine_keys_operators_and_ket_of_consecutive_calls():
         eng.element(FormalProduct(1.0, (Atom(2, 1), Pair(0, (2, 4)))), op_lists[2], kets[1])
 
 
-def test_step_plan_matches_planned_einsum(monkeypatch):
+def _oracle_model():
     # the oracle-verify model: the seeded random model as an explicit config
     space = build_explicit_model(
         RANDOM_SPACE.one_body.mat.tolist(), np.asarray(RANDOM_SPACE.two_body.t4).ravel().tolist()
     )
-    spectrum = space.solve_composites(LowestK(2))
+    return space, space.solve_composites(LowestK(2))
+
+
+def _sweep_tables(monkeypatch, space, spectrum):
+    # the (left, ops, right) of every table an N <= 5 sweep builds
+    tables = []
+    table = oracle.fragment_table
+
+    def recording(left, ops, right, *args):
+        tables.append((left, tuple(ops), right))
+        return table(left, ops, right, *args)
+
+    monkeypatch.setattr(oracle, "fragment_table", recording)
+    report = verify_sectors(space, spectrum, range(6), include_rows=False)
+    assert report["summary"]["pairs_checked"] == 26110
+    return tables
+
+
+def test_step_plan_matches_planned_einsum(monkeypatch):
+    # the sweep's tables run along cached step plans that keep their output
+    # indices; each plan gives the planned einsum's array
+    space, spectrum = _oracle_model()
     planned = set()
     calls = {"element": 0, "contract": 0}
     steps, element, contract = (
@@ -383,45 +404,65 @@ def test_step_plan_matches_planned_einsum(monkeypatch):
     monkeypatch.setattr(algebra, "_contraction_steps", recording_steps)
     monkeypatch.setattr(ElementEngine, "element", counting_element)
     monkeypatch.setattr(algebra, "labeled_matrix_element", counting_contract)
-    report = verify_sectors(space, spectrum, range(6), include_rows=False)
-    assert report["summary"]["pairs_checked"] == 26110
-    assert calls == {"element": 241, "contract": 192}
+    tables = _sweep_tables(monkeypatch, space, spectrum)
+    assert len(tables) == 11
+    assert calls == {"element": 0, "contract": 0}
     assert len(planned) > 10
+    assert all(expr.split("->")[1] for expr, _ in planned)  # every plan keeps an output
 
     rng = np.random.default_rng(20240)
     for expr, shapes in sorted(planned):
         operands = [rng.standard_normal(shape) for shape in shapes]
         want = np.einsum(expr, *operands, optimize=algebra._contraction_path(expr, shapes))
         got = algebra._contract(expr, list(operands))
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0), expr
+        assert got.shape == want.shape, expr
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max()), expr
 
 
 def test_fused_operators_agree_with_separate_ones(monkeypatch):
-    # labeled_matrix_element folds each one-body operator into a two-body
-    # operator on its label; on every fragment an N <= 5 oracle-verify sweep
-    # contracts, that sum equals the per-operator sum up to roundoff
-    space = build_explicit_model(
-        RANDOM_SPACE.one_body.mat.tolist(), np.asarray(RANDOM_SPACE.two_body.t4).ravel().tolist()
-    )
-    spectrum = space.solve_composites(LowestK(2))
-    fragments = []
-    contract = algebra.labeled_matrix_element
-
-    def recording(bra, ops, ket, *args):
-        fragments.append((bra, tuple(ops), ket))
-        return contract(bra, ops, ket, *args)
-
-    monkeypatch.setattr(algebra, "labeled_matrix_element", recording)
-    verify_sectors(space, spectrum, range(6), include_rows=False)
+    # fragment_table folds each one-body operator into a two-body operator
+    # on its label; on every table an N <= 5 oracle-verify sweep builds,
+    # that sum equals the sum of the per-operator tables up to roundoff
+    space, spectrum = _oracle_model()
+    tables = _sweep_tables(monkeypatch, space, spectrum)
     monkeypatch.undo()
-    assert len(fragments) == 192
+    assert len(tables) == 11
     folded = 0
-    for bra, ops, ket in fragments:
-        fused = labeled_matrix_element(bra, ops, ket, space, spectrum)
-        parts = [labeled_matrix_element(bra, (op,), ket, space, spectrum) for op in ops]
-        assert abs(fused - sum(parts)) <= 1e-13 * sum(map(abs, parts)), (bra, ops, ket)
+    for left, ops, right in tables:
+        fused = algebra.fragment_table(left, ops, right, space, spectrum)
+        parts = [algebra.fragment_table(left, (op,), right, space, spectrum) for op in ops]
+        scale = sum(map(np.abs, parts))
+        assert np.all(np.abs(fused - sum(parts)) <= 1e-13 * scale), (left, ops, right)
         folded += any(isinstance(op, OneBody) for op in ops) and len(ops) > 1
-    assert folded > 100
+    assert folded == 7
+
+
+def test_fragment_table_checks_its_slots(site_space, site_spectrum):
+    ops = (TwoBody(1, 2),)
+    with pytest.raises(ValueError, match="label sets differ"):
+        algebra.fragment_table((("S", 1), ("S", 3)), ops, (("S", 1), ("S", 2)), site_space)
+    with pytest.raises(ValueError, match="not in the slots"):
+        algebra.fragment_table((("S", 1),), ops, (("S", 1),), site_space)
+    with pytest.raises(ValueError, match="needs a composite spectrum"):
+        algebra.fragment_table((("C", (1, 2)),), ops, (("S", 1), ("S", 2)), site_space)
+    table = algebra.fragment_table((("C", (1, 2)),), ops, (("S", 1), ("S", 2)),
+                                   site_space, site_spectrum)
+    assert table.shape == (site_spectrum.n_composites, 2, 2)
+
+
+def test_fragment_table_joins_spectator_atoms_by_identity():
+    # label 2 is an atom on both sides and O(1) leaves it alone: the table
+    # is O (x) 1, entry for entry the per-element contraction
+    slots = (("S", 1), ("S", 2))
+    table = algebra.fragment_table(slots, (OneBody(1),), slots, RANDOM_SPACE)
+    n = RANDOM_SPACE.n_modes
+    assert table.shape == (n, n, n, n)
+    for m1, m2, p1, p2 in np.ndindex(table.shape):
+        bra = FormalProduct(1.0, (Atom(m1, 1), Atom(m2, 2)))
+        ket = FormalProduct(1.0, (Atom(p1, 1), Atom(p2, 2)))
+        want = labeled_matrix_element(bra, (OneBody(1),), ket, RANDOM_SPACE)
+        assert table[m1, m2, p1, p2] == want
+        assert want == (RANDOM_SPACE.one_body.mat[m1, p1] if m2 == p2 else 0.0)
 
 
 def test_fused_pair_operator_is_the_kronecker_sum():

@@ -103,6 +103,23 @@ def test_tensors_match_labeled_contractions(model, request):
             assert tensors[term][index] == pytest.approx(want, abs=1e-12), (term, index)
 
 
+@pytest.mark.parametrize("model", ["two_site", "random_model"])
+def test_cached_paths_give_the_searched_tensors_bitwise(model, request, monkeypatch):
+    # coefficient_tensors searches each einsum path once per (subscripts,
+    # shapes); the tensors are bitwise those of a fresh search on every call
+    space, spectrum = request.getfixturevalue(model)
+    cached = coefficient_tensors(space, spectrum)
+    misses = hamiltonian._greedy_path.cache_info().misses
+    again = coefficient_tensors(space, spectrum)
+    assert hamiltonian._greedy_path.cache_info().misses == misses
+    monkeypatch.setattr(hamiltonian, "_greedy_path", lambda subscripts, shapes: True)
+    searched = coefficient_tensors(space, spectrum)
+    for term in TermId:
+        want = np.ascontiguousarray(searched[term]).view(np.int64)
+        for got in (cached[term], again[term]):
+            assert np.array_equal(np.ascontiguousarray(got).view(np.int64), want), term
+
+
 def test_ssss_tensor_swaps_ket_slots(random_model):
     space, spectrum = random_model
     ssss = coefficient_tensors(space, spectrum)[TermId.SSSS]

@@ -284,6 +284,22 @@ def test_csr_and_asymmetry_are_built_once(monkeypatch):
         m.vals[0] = 2.0
 
 
+def test_dense_path_checks_symmetry_without_a_csr(monkeypatch):
+    # a sector small enough for the dense solver goes straight to it: no CSR
+    # and no sparse asymmetry are built, its values are the dense solver's
+    # bit for bit, and an asymmetric matrix still raises
+    def no_csr(self):
+        pytest.fail("dense path built a CSR")
+
+    monkeypatch.setattr(SparseMatrix, "to_csr", no_csr)
+    mat = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 3.0]])
+    got = sparse_lowest_eigen(sparse_from_dense(mat), 2)
+    assert np.array_equal(got, dense_symmetric_eigen(mat)[0][:2])
+    asymmetric = SparseMatrix.from_triples(3, [0, 1, 2], [1, 0, 2], [1.0, 1.5, 2.0])
+    with pytest.raises(NonSymmetricError, match=r"max \|A - A\^T\| = 5\.000e-01"):
+        sparse_lowest_eigen(asymmetric, 1)
+
+
 def test_diagonal_block_is_the_dense_block_rebased():
     mat = np.zeros((6, 6))
     mat[0, 0], mat[1, 2], mat[2, 1] = 1.0, 2.0, 2.0

@@ -204,14 +204,13 @@ def test_verify_sectors_matches_full_expansion(model, request):
     space, spectrum = request.getfixturevalue(model)
     report = verify_sectors(space, spectrum, range(0, 5))
     swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
-    engine = ElementEngine(space, spectrum)
     compared = 0
     for n in range(0, 5):
         states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
         expansions = [expand_basis_state(s) for s in states]
         for term in TermId:
             for ket, ket_expansion in zip(states, expansions):
-                applied = apply_projected_term(term, ket_expansion, space, spectrum, engine)
+                applied = apply_projected_term(term, ket_expansion, space, spectrum)
                 for bra, bra_expansion in zip(states, expansions):
                     want = formal_inner_product(bra_expansion, applied)
                     got = swept[(term.value, str(bra), str(ket))]
@@ -259,19 +258,25 @@ def _blueprint_loop(term, state, space, spectrum):
 
 def test_apply_projected_term_matches_blueprint_loop(random_model):
     # apply_projected_term collects the shared emission core over the full
-    # expansion; every product and weight equals the written-out loop's
+    # expansion; it emits exactly the written-out loop's products, and each
+    # weight agrees to 1e-12 relative to the largest weight of the applied
+    # state: the core reads its amplitudes from the shape tables, whose sums
+    # run in another order than the per-element contractions, and weights
+    # that vanish by orthogonality (CC between two composites) are roundoff
     space, spectrum = random_model
-    engine = ElementEngine(space, spectrum)
     compared = 0
     for n in range(0, 4):
         for state in enumerate_sector(n, space.n_modes, spectrum.n_composites).states:
             expansion = expand_basis_state(state)
             for term in TermId:
-                got = apply_projected_term(term, expansion, space, spectrum, engine)
+                got = apply_projected_term(term, expansion, space, spectrum)
                 want = _blueprint_loop(term, expansion, space, spectrum)
-                assert [(p.factors, p.weight) for p in got.products] == [
-                    (p.factors, p.weight) for p in want.products
+                assert [p.factors for p in got.products] == [
+                    p.factors for p in want.products
                 ], (term, state)
+                scale = max((abs(p.weight) for p in want.products), default=0.0)
+                for g, w in zip(got.products, want.products):
+                    assert abs(g.weight - w.weight) <= 1e-12 * scale, (term, state, g)
                 compared += len(want.products)
     assert compared > 900
 
@@ -285,7 +290,6 @@ def test_verify_sectors_columns_are_bitwise_the_collected_ones(model, request):
     space, spectrum = request.getfixturevalue(model)
     report = verify_sectors(space, spectrum, range(0, 6))
     swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
-    engine = ElementEngine(space, spectrum)
     compared = 0
     for n in range(0, 6):
         states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
@@ -296,7 +300,7 @@ def test_verify_sectors_columns_are_bitwise_the_collected_ones(model, request):
             for ket in states:
                 rep = FormalState((representative_product(ket),))
                 column = [0.0] * len(states)
-                for p in apply_projected_term(term, rep, space, spectrum, engine).products:
+                for p in apply_projected_term(term, rep, space, spectrum).products:
                     atoms, molecules = [0] * space.n_modes, [0] * spectrum.n_composites
                     for f in p.factors:
                         if isinstance(f, Atom):
@@ -311,63 +315,100 @@ def test_verify_sectors_columns_are_bitwise_the_collected_ones(model, request):
     assert compared == report["summary"]["pairs_checked"] == len(swept)
 
 
+def _recording_tables(monkeypatch):
+    # every fragment_table call the oracle makes, as (left, ops, right), with
+    # the per-element path made to fail if the oracle still reaches it
+    calls = []
+    table = oracle.fragment_table
+
+    def recording(left, ops, right, *args):
+        calls.append((tuple(left), tuple(ops), tuple(right)))
+        return table(left, ops, right, *args)
+
+    def per_element(*args):
+        pytest.fail("the oracle evaluated one element at a time")
+
+    monkeypatch.setattr(oracle, "fragment_table", recording)
+    monkeypatch.setattr(ElementEngine, "element", per_element)
+    monkeypatch.setattr(algebra, "labeled_matrix_element", per_element)
+    return calls
+
+
 def test_verify_sectors_contracts_each_fragment_once(random_model, monkeypatch):
-    # the plan and the per-fragment emission lists hand every distinct
-    # (bra, operators, ket) fragment to the engine exactly once per sweep
+    # every (left structure, operators, right slots) fragment is contracted
+    # once per sweep, as one table over all its mode choices, and no element
+    # is evaluated on its own
     space, spectrum = random_model
-    seen = []
-    element = ElementEngine.element
-
-    def recording(self, bra, ops, ket):
-        seen.append((bra.sort_key, tuple(ops), ket.sort_key))
-        return element(self, bra, ops, ket)
-
-    monkeypatch.setattr(ElementEngine, "element", recording)
+    calls = _recording_tables(monkeypatch)
     report = verify_sectors(space, spectrum, range(0, 6), include_rows=False)
     assert report["summary"]["pairs_checked"] == 26_110
-    assert seen
-    assert len(set(seen)) == len(seen)
+    assert calls
+    assert len(set(calls)) == len(calls)
 
 
-def _renumbered(bra, ops, ket):
-    # a fragment with its labels renumbered 0, 1, ... in order, in the
-    # orientation it was asked in
-    labels = sorted(bra.labels | ket.labels)
+def _renumbered(left, ops, right):
+    # a fragment with its labels renumbered 0, 1, ... in order
+    labels = sorted(lab for slot in right for lab in algebra.slot_labels(slot))
     rank = {lab: r for r, lab in enumerate(labels)}.__getitem__
 
-    def product(p):
-        return tuple((kind, tuple(map(rank, labs)), tag) for kind, labs, tag in p.sort_key)
+    def slots(group):
+        return tuple((slot[0], tuple(map(rank, algebra.slot_labels(slot)))) for slot in group)
 
     acted = tuple(
         ("O", rank(op.label)) if isinstance(op, OneBody) else ("T", rank(op.a), rank(op.b))
         for op in ops
     )
-    return product(bra), acted, product(ket)
+    return slots(left), acted, slots(right)
 
 
-def test_verify_sectors_sends_each_shape_to_the_engine_once(random_model, monkeypatch):
-    # the emission memo is keyed by shape: fragments that differ only by an
-    # order-preserving relabeling reach the engine once, and the engine
-    # contracts what is left once up to its bra/ket swap
+def test_verify_sectors_builds_each_shape_table_once(random_model, monkeypatch):
+    # the tables are kept per shape: fragments that differ only by an
+    # order-preserving relabeling are contracted once.  The oracle-verify
+    # sweep meets 9 shapes, with 11 left structures among them
     space, spectrum = random_model
-    seen = []
-    contracted = []
-    element, contract = ElementEngine.element, algebra.labeled_matrix_element
-
-    def recording(self, bra, ops, ket):
-        seen.append(_renumbered(bra, ops, ket))
-        return element(self, bra, ops, ket)
-
-    def counting(*args):
-        contracted.append(args)
-        return contract(*args)
-
-    monkeypatch.setattr(ElementEngine, "element", recording)
-    monkeypatch.setattr(algebra, "labeled_matrix_element", counting)
+    calls = _recording_tables(monkeypatch)
     report = verify_sectors(space, spectrum, range(0, 6), include_rows=False)
     assert report["summary"]["pairs_checked"] == 26_110
-    assert len(seen) == len(set(seen)) == 241
-    assert len(contracted) == 192
+    shapes = [_renumbered(*call) for call in calls]
+    assert len(shapes) == len(set(shapes)) == 11
+
+
+@pytest.mark.parametrize("model", ["two_site", "random_model"])
+def test_fragment_tables_match_per_element_contractions(model, request):
+    # every blueprint shape reachable at N <= 4, whatever its label order:
+    # each table entry is the per-element contraction of the unit-weight
+    # products that fill its slots
+    space, spectrum = request.getfixturevalue(model)
+    n_modes, n_composites = space.n_modes, spectrum.n_composites
+    seen = set()
+    compared = 0
+    for n in range(1, 5):
+        for term in TermId:
+            for right, ops, lefts in oracle._term_blueprints(term, range(1, n + 1)):
+                for left in lefts:
+                    shape = _renumbered(left, ops, right)
+                    if shape in seen:
+                        continue
+                    seen.add(shape)
+                    table = algebra.fragment_table(left, ops, right, space, spectrum)
+                    kets = list(oracle._emit_configs(right, n_modes, n_composites))
+                    bras = list(oracle._emit_configs(left, n_modes, n_composites))
+                    assert table.shape[: len(left)] == tuple(
+                        n_modes if kind == "S" else n_composites for kind, _ in left
+                    )
+                    flat = table.reshape(len(bras), len(kets))
+                    for k, bra in enumerate(bras):
+                        for j, ket in enumerate(kets):
+                            want = labeled_matrix_element(
+                                FormalProduct(1.0, bra), ops, FormalProduct(1.0, ket),
+                                space, spectrum,
+                            )
+                            assert abs(flat[k, j] - want) <= 1e-12 * max(1.0, abs(want)), (
+                                term, left, ops, right, bra, ket
+                            )
+                            compared += 1
+    assert len(seen) == 23
+    assert compared > 50
 
 
 def _labeled_products(n, n_modes, n_composites):
