@@ -200,27 +200,35 @@ def verification_text(report: dict) -> str:
     return "".join(pieces)
 
 
-def _write_verification(write: Callable[[str], object], columns: Iterable[Column]) -> dict:
+def _write_verification(
+    write: Callable[[str], object], columns: Iterable[Column]
+) -> tuple[dict, float]:
     """Write the verification report of ``columns`` as they are computed.
 
     Each column's rows are formatted and written before the next column is
     asked for, so memory does not grow with the row count.  The text is the
     one :func:`verification_text` gives for ``verify_sectors`` over the same
-    sweep.  Returns the summary.
+    sweep.  Returns the summary and, beside it, the largest difference over
+    the entries where the sq value is nonzero: the gated maximum also covers
+    entries that the sq route dropped as roundoff.
     """
     summary = {"max_abs_diff": 0.0, "pairs_checked": 0}
+    stored_max = 0.0
     format_rows = _RowFormatter()
 
     def rows() -> Iterator[str]:
+        nonlocal stored_max
         for col in columns:
             summary["max_abs_diff"] = max(summary["max_abs_diff"], *col.diff)
             summary["pairs_checked"] += len(col.diff)
+            listed = range(len(col.diff)) if col.rows is None else col.rows
+            stored_max = max([stored_max, *(col.diff[i] for i in listed if col.sq[i] != 0.0)])
             yield format_rows(
                 col.term, col.sector, col.ket, col.bras, col.sq, col.oracle, col.diff, col.rows
             )
 
     _write_report(write, report_layout(rows(), summary))
-    return summary
+    return summary, stored_max
 
 
 @contextmanager
@@ -242,6 +250,17 @@ def _replacing(path: Path) -> Iterator[Callable[[str], object]]:
     finally:
         with suppress(OSError):
             tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _writing_stdout() -> Iterator[Callable[[str], object]]:
+    """``sys.stdout.write``, flushed at the end; an OSError on the way, such
+    as a pipe closed by its reader, becomes an :class:`OutputError`."""
+    try:
+        yield sys.stdout.write
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(f"cannot write to stdout: {exc}") from exc
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -301,7 +320,8 @@ def _cmd_solve_pair(config: ModelConfig, out_dir: Path | None) -> int:
     _, spectrum = _solve(config)
     doc = {"schema_version": REPORT_SCHEMA_VERSION, **_spectrum_doc(spectrum)}
     text = dump_json(doc) + "\n"
-    sys.stdout.write(text)
+    with _writing_stdout() as write:
+        write(text)
     if out_dir is not None:
         _write_text(out_dir / "composite_spectrum.json", text)
     return EXIT_OK
@@ -408,14 +428,13 @@ def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
     _check_max_n(max_n)
     space, spectrum = _solve(config)
     columns = sweep_columns(space, spectrum, range(max_n + 1))
-    if out_dir is None:
-        summary = _write_verification(sys.stdout.write, columns)
-    else:
-        with _replacing(out_dir / "verification.json") as write:
-            summary = _write_verification(write, columns)
+    output = _writing_stdout() if out_dir is None else _replacing(out_dir / "verification.json")
+    with output as write:
+        summary, stored_max = _write_verification(write, columns)
     sys.stderr.write(
         f"verified {summary['pairs_checked']} matrix elements, "
         f"max |sq - oracle| = {summary['max_abs_diff']:.3e}\n"
+        f"max |sq - oracle| where sq is nonzero = {stored_max:.3e}\n"
     )
     return _verify_status(summary)
 
@@ -502,7 +521,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(main())
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout's reader has gone; the interpreter flushes stdout again on
+        # exit, so point it at devnull to keep that from raising a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,10 +39,11 @@ the second-quantized one, and uses two closed forms of those expansions:
 * A labeled product fixes its occupation (atoms per mode, pairs per
   composite), so each emission is read into its bra through the occupation
   alone: the ket's, minus the matched factors, plus the emitted ones, kept
-  as integer codes (:func:`_slot_codes`) that the plan holds per bra.  In
+  as an integer code (:func:`_slot_codes`) that the plan holds per bra.  In
   the expansion of bra B a labeled product carries the weight
   w_B = c_B * prod(n_m!) * prod(k_a! 2^k_a), c_B the normalization constant:
-  the count of label permutations that fix one labeled product.  No output
+  the count of label permutations that fix one labeled product.  Each
+  emission is added straight into its bra with that weight; no output
   product is built.
 
 :func:`verify_sectors` collects the sweep's columns into a report dict.
@@ -228,7 +229,6 @@ def _term_blueprints(term: TermId, labels: Sequence[int]) -> Iterator[Blueprint]
 
 
 Layout = tuple[tuple[int, ...], ...]  # the labels of each factor, in factor order
-Factors = tuple[FormalFactor, ...]
 Emission = tuple[int, float]  # (position in the entry's bra list, amplitude)
 
 
@@ -244,28 +244,18 @@ def _slot_of(factor: FormalFactor) -> Slot:
     return _s(factor.label) if isinstance(factor, Atom) else _c(*factor.labels)
 
 
-def _slot_codes(slot: Slot, n: int, n_modes: int, n_composites: int) -> list[tuple[int, int]]:
-    """The (key, occupation) codes of each factor that can fill ``slot`` in a
-    labeled product over labels 1..n, by mode or composite.
+def _slot_codes(slot: Slot, n: int, n_modes: int, n_composites: int) -> list[int]:
+    """The occupation code of each factor that can fill ``slot`` in a labeled
+    product over labels 1..n, by mode or composite.
 
-    Both codes of a product are the sums of its factors' codes.  The key
-    holds one base-R digit per label, most significant first, R = (n + 1) K
-    and K = max(M, A): a factor puts the digit ``partner * K + mode`` at its
-    smallest label, partner being 0 for an atom and the other label for a
-    pair.  Two products share a key only if they are equal, and keys order
-    products as their ``sort_key`` does.  The occupation holds one base-(n+1)
-    digit per atom mode, then one per composite: it names the product's
+    A product's code is the sum of its factors' codes: one base-(n+1) digit
+    per atom mode, then one per composite, so it names the product's
     occupation state.
     """
-    radix = max(n_modes, n_composites)
     base = n + 1
-    kind, where = slot
-    if kind == "S":
-        place = (radix * base) ** (n - where)  # type: ignore[operator]
-        return [(mode * place, base**mode) for mode in range(n_modes)]
-    first, second = where  # type: ignore[misc]
-    place = (radix * base) ** (n - first)
-    return [((second * radix + a) * place, base ** (n_modes + a)) for a in range(n_composites)]
+    if slot[0] == "S":
+        return [base**mode for mode in range(n_modes)]
+    return [base ** (n_modes + a) for a in range(n_composites)]
 
 
 def _match_slots(
@@ -287,7 +277,7 @@ def _emit_configs(
     slots: tuple[Slot, ...],
     n_modes: int,
     n_composites: int,
-) -> Iterator[Factors]:
+) -> Iterator[tuple[FormalFactor, ...]]:
     ranges = [
         range(n_modes) if kind == "S" else range(n_composites) for kind, _ in slots
     ]
@@ -364,9 +354,8 @@ class _Entry:
     of that shape: an order-preserving relabeling maps bra k of one entry
     to bra k of the other with the same amplitude.  The bra configurations
     of its left structures, in emission order, are built on first use: as
-    products where an output product needs them, and as (key, occupation)
-    codes (:func:`_slot_codes`, over labels 1..n) where the sweep merges
-    emissions.
+    products where an output product needs them, and as occupation codes
+    (:func:`_slot_codes`, over labels 1..n) where the sweep reads the bra.
     """
 
     matched: tuple[int, ...]
@@ -385,9 +374,9 @@ class _Entry:
         ]
 
     @cached_property
-    def codes(self) -> list[tuple[int, int]]:
+    def codes(self) -> list[int]:
         return [
-            (sum(key for key, _ in choice), sum(occupation for _, occupation in choice))
+            sum(choice)
             for slots in self.left
             for choice in product(*(_slot_codes(slot, self.n, *self.sizes) for slot in slots))
         ]
@@ -463,11 +452,9 @@ class _Ket(NamedTuple):
     """A ket's representative product, read once for every term."""
 
     weight: float
-    factors: Factors
     layout: Layout
     modes: tuple[int, ...]
-    codes: list[tuple[int, int]]  # (key, occupation) code of each factor
-    key: int
+    codes: list[int]  # the occupation code of each factor
     occupation: int
 
 
@@ -476,8 +463,7 @@ def _ket(state: OccupationState, n_modes: int, n_composites: int) -> _Ket:
     n = state.constituents
     modes = tuple(map(_mode_of, rep.factors))
     codes = [_slot_codes(_slot_of(f), n, n_modes, n_composites)[m] for f, m in zip(rep.factors, modes)]
-    return _Ket(rep.weight, rep.factors, tuple(map(_labels_of, rep.factors)), modes, codes,
-                sum(key for key, _ in codes), sum(occupation for _, occupation in codes))
+    return _Ket(rep.weight, tuple(map(_labels_of, rep.factors)), modes, codes, sum(codes))
 
 
 def _oracle_column(
@@ -490,40 +476,23 @@ def _oracle_column(
     """Column ``<i|term|ket>`` read from the emissions of ket's representative,
     and the set of bras i it adds to (every other entry is +0.0).
 
-    Each emitted product is read through two integer codes (see
+    Each emission is read into its bra through the occupation code (see
     :func:`_slot_codes`): the ket's, minus the matched factors', plus the
-    emitted bra's from the plan.  The key merges emissions of one labeled
-    product in emission order; the occupation is looked up in ``index``
-    ``occupation -> (i, w_i)``.  The products are added in key order, the
-    order ``FormalState.collect`` gives them, so the column is bitwise the
-    one read from :func:`apply_projected_term`.
+    emitted bra's from the plan, looked up in ``index``
+    ``occupation -> (i, w_i)``, and added there as ``w_i * (weight * amp)``.
     """
-    merged: dict[int, list] = {}  # product key -> [weight, occupation]
+    column = [0.0] * dim
+    touched = set()
     weight = ket.weight
     for entry in _plan(term, ket.layout, memo):
         emitted = entry.emitted(ket.modes)
-        if not emitted:
-            continue
-        key, occupation = ket.key, ket.occupation
-        for p in entry.matched:
-            key -= ket.codes[p][0]
-            occupation -= ket.codes[p][1]
-        codes = entry.codes
-        for k, amp in emitted:
-            bra_key, bra_occupation = codes[k]
-            product_sum = merged.get(key + bra_key)
-            if product_sum is None:
-                merged[key + bra_key] = [weight * amp, occupation + bra_occupation]
-            else:
-                product_sum[0] += weight * amp
-    column = [0.0] * dim
-    touched = set()
-    for product_key in sorted(merged):
-        total, occupation = merged[product_key]
-        if total != 0.0:
-            i, w_i = index[occupation]
-            column[i] += w_i * total
-            touched.add(i)
+        if emitted:
+            occupation = ket.occupation - sum([ket.codes[p] for p in entry.matched])
+            codes = entry.codes
+            for k, amp in emitted:
+                i, w_i = index[occupation + codes[k]]
+                column[i] += w_i * (weight * amp)
+                touched.add(i)
     return column, touched
 
 
@@ -614,8 +583,9 @@ def sweep_columns(
     emission's bra occupation (the ket's, minus the matched factors, plus the
     emitted ones) indexes ``occupation code -> (bra index, w_i)``, w_i being
     the weight of any one labeled product in bra i's expansion.  No
-    expansion and no output product is built, and the column is bitwise the
-    one :func:`apply_projected_term` would give.
+    expansion and no output product is built, and the sums run in emission
+    order, so the column is the one :func:`apply_projected_term` would give
+    up to roundoff, not bitwise.
 
     One memo serves the whole sweep: the plan of each (term, label layout),
     the table of each shape and the emissions of each matched mode choice

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +31,11 @@ RANDOM_EXPLICIT = {
         "T4": np.asarray(_RANDOM_SPACE.two_body.t4).ravel().tolist(),
     },
     "bound": {"policy": "lowest_k", "k": 2},
+}
+
+RING6 = {
+    "model": {"type": "ring", "sites": 6, "t": 1.0, "U": -20.0},
+    "bound": {"policy": "below_edge"},
 }
 
 U_ZERO = {
@@ -145,6 +153,58 @@ def test_verify_streams_verification_text(tmp_path, capsys, doc, max_n):
     capsys.readouterr()
     assert cli.main(["verify", "--config", cfg, "--max-n", str(max_n)]) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("doc", [TWO_SITE, RING6], ids=["two-site", "ring6"])
+def test_verify_reports_the_stored_entry_maximum_beside_the_gated_one(tmp_path, capsys, doc):
+    # the largest |sq - oracle| where sq is nonzero goes to stderr only, after
+    # the gated maximum over every entry, and never exceeds it
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", "2"]) == 0
+    verified, stored = capsys.readouterr().err.splitlines()
+    gated = json.loads((out / "verification.json").read_text())["summary"]["max_abs_diff"]
+    assert verified.endswith(f"max |sq - oracle| = {gated:.3e}")
+    prefix = "max |sq - oracle| where sq is nonzero = "
+    assert stored.startswith(prefix)
+    assert float(stored[len(prefix):]) <= float(f"{gated:.3e}")
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", ["verify", "solve-pair"])
+def test_stdout_closed_by_its_reader_exits_1(tmp_path, monkeypatch, capsys, command):
+    cfg = write_config(tmp_path, TWO_SITE)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot write to stdout: " in err
+    assert "Traceback" not in err
+
+
+def test_entrypoint_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # the pipe has no reader before the report is written; neither the write
+    # nor the interpreter's flush at exit prints a traceback
+    cfg = write_config(tmp_path, TWO_SITE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "composite_bosons.cli", "verify", "--config", cfg],
+            stdout=writer, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
 
 
 def _sweep_failing_with(kind):
