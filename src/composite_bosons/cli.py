@@ -30,7 +30,7 @@ from .hamiltonian import (
 from .modespace import CompositeSpectrum, ModeSpace
 from .models import ConfigError, ModelConfig, build_mode_space, load_config
 from .numerics import EigenConvergenceError, NonSymmetricError, sparse_lowest_eigen
-from .oracle import EXPANSION_GUARD, Column, report_layout, sweep_columns, verify_sectors
+from .oracle import Column, report_layout, sweep_columns, verify_sectors
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,6 +38,9 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 VERIFY_TOL = 1e-10
+# the largest --max-n: a sweep's time and its report grow steeply with N;
+# verify_sectors checks larger sectors in-process
+VERIFY_MAX_N = 6
 REPORT_SCHEMA_VERSION = 1
 _EIGENVALUES_PER_SECTOR = 6
 _WRITE_BUFFER = 1 << 20  # bytes; a report of several MB goes out in few system calls
@@ -109,10 +112,11 @@ class _RowFormatter:
     """Rows of ``checks`` in the layout :func:`dump_json` gives them.
 
     The head of each (term, sector) and each quoted state name are built
-    once.  Rows whose three values are all +0.0, most rows of a sweep, share
-    one constant tail, and each run of them between two other rows is
-    written by one ``str.join`` over the quoted bra names; the caller names
-    the other rows (``Column.rows``), since -0.0 prints as ``-0``.
+    once.  A :class:`Column` lists the rows it holds values for; every other
+    row is all +0.0, most rows of a sweep, and they share one constant tail.
+    Each run of them between two listed rows is written by one ``str.join``
+    over the quoted bra names.  A listed row of zeros comes out as the shared
+    tail does, and -0.0 prints as ``-0``.
     """
 
     def __init__(self) -> None:
@@ -121,43 +125,29 @@ class _RowFormatter:
         self._bras: Sequence[str] = ()
         self._quoted: list[str] = []
 
-    def __call__(
-        self,
-        term: str,
-        sector: int,
-        ket: str,
-        bras: Sequence[str],
-        sqs: Sequence[float],
-        oracles: Sequence[float],
-        diffs: Sequence[float],
-        rows: Sequence[int] | None = None,
-    ) -> str:
-        """The rows of one ket, one per bra, joined by ``",\n"``.
-
-        ``rows`` lists, ascending, the bra positions outside which all three
-        values are +0.0; None lists them all.  A listed row of zeros comes
-        out as the shared tail does, so listing more rows only costs time.
-        """
-        head = self._heads.get((term, sector))
+    def __call__(self, col: Column) -> str:
+        """The rows of one column, one per bra, joined by ``",\n"``."""
+        head = self._heads.get((col.term, col.sector))
         if head is None:
-            head = self._heads[term, sector] = (
-                f'    {{\n      "term": {_quote(term)},\n'
-                f'      "sector": {sector:d},\n      "bra": '
+            head = self._heads[col.term, col.sector] = (
+                f'    {{\n      "term": {_quote(col.term)},\n'
+                f'      "sector": {col.sector:d},\n      "bra": '
             )
-        if bras != self._bras:  # the columns of a sector share their bras
-            self._bras, self._quoted = bras, [self._names[bra] for bra in bras]
+        if col.bras != self._bras:  # the columns of a sector share their bras
+            self._bras, self._quoted = col.bras, [self._names[bra] for bra in col.bras]
         quoted = self._quoted
-        ket_part = f',\n      "ket": {self._names[ket]}'
+        ket_part = f',\n      "ket": {self._names[col.ket]}'
         zero_tail = ket_part + _ZERO_VALUES
         zero_gap = zero_tail + ",\n" + head
         pieces = []
         start = 0
-        for row in [*(range(len(quoted)) if rows is None else rows), len(quoted)]:
+        for row, sq, oracle, diff in zip(col.rows, col.sq, col.oracle, col.diff):
             if row > start:
                 pieces.append(head + zero_gap.join(quoted[start:row]) + zero_tail)
-            if row < len(quoted):
-                pieces.append(head + quoted[row] + ket_part + _values(sqs[row], oracles[row], diffs[row]))
+            pieces.append(head + quoted[row] + ket_part + _values(sq, oracle, diff))
             start = row + 1
+        if len(quoted) > start:
+            pieces.append(head + zero_gap.join(quoted[start:]) + zero_tail)
         return ",\n".join(pieces)
 
 
@@ -191,8 +181,8 @@ def verification_text(report: dict) -> str:
     """
     format_rows = _RowFormatter()
     rows = (
-        format_rows(r["term"], r["sector"], r["ket"], (r["bra"],),
-                    (r["sq_value"],), (r["oracle_value"],), (r["abs_diff"],))
+        format_rows(Column(r["term"], r["sector"], [r["bra"]], r["ket"], [0],
+                           [r["sq_value"]], [r["oracle_value"]], [r["abs_diff"]]))
         for r in report["checks"]
     )
     pieces: list[str] = []
@@ -208,9 +198,11 @@ def _write_verification(
     Each column's rows are formatted and written before the next column is
     asked for, so memory does not grow with the row count.  The text is the
     one :func:`verification_text` gives for ``verify_sectors`` over the same
-    sweep.  Returns the summary and, beside it, the largest difference over
-    the entries where the sq value is nonzero: the gated maximum also covers
-    entries that the sq route dropped as roundoff.
+    sweep.  Maxima are taken over the rows each sparse column lists, since
+    every other row differs by +0.0.  Returns the summary and, beside it,
+    the largest difference over the entries where the sq value is nonzero:
+    the gated maximum also covers entries that the sq route dropped as
+    roundoff.
     """
     summary = {"max_abs_diff": 0.0, "pairs_checked": 0}
     stored_max = 0.0
@@ -219,13 +211,10 @@ def _write_verification(
     def rows() -> Iterator[str]:
         nonlocal stored_max
         for col in columns:
-            summary["max_abs_diff"] = max(summary["max_abs_diff"], *col.diff)
-            summary["pairs_checked"] += len(col.diff)
-            listed = range(len(col.diff)) if col.rows is None else col.rows
-            stored_max = max([stored_max, *(col.diff[i] for i in listed if col.sq[i] != 0.0)])
-            yield format_rows(
-                col.term, col.sector, col.ket, col.bras, col.sq, col.oracle, col.diff, col.rows
-            )
+            summary["max_abs_diff"] = max([summary["max_abs_diff"], *col.diff])
+            summary["pairs_checked"] += len(col.bras)
+            stored_max = max([stored_max, *(d for sq, d in zip(col.sq, col.diff) if sq != 0.0)])
+            yield format_rows(col)
 
     _write_report(write, report_layout(rows(), summary))
     return summary, stored_max
@@ -382,9 +371,17 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
         )
         report["verification"] = verification["summary"]
         status = _verify_status(verification["summary"])
+        _print_verified(verification["summary"])
     write_report(report, sector_eigs, hams, out_dir)
     sys.stderr.write(f"spectrum finished in {time.perf_counter() - started:.3f}s\n")
     return status
+
+
+def _print_verified(summary: dict) -> None:
+    sys.stderr.write(
+        f"verified {summary['pairs_checked']} matrix elements, "
+        f"max |sq - oracle| = {summary['max_abs_diff']:.3e}\n"
+    )
 
 
 def _verify_status(summary: dict) -> int:
@@ -393,9 +390,10 @@ def _verify_status(summary: dict) -> int:
 
 
 def _check_max_n(max_n: int) -> None:
-    if max_n > EXPANSION_GUARD:
+    if max_n > VERIFY_MAX_N:
         raise ConfigError(
-            f"--max-n {max_n} exceeds the permutation-expansion guard {EXPANSION_GUARD}"
+            f"--max-n {max_n} exceeds the verification cap {VERIFY_MAX_N}: "
+            "the sweep's time and report size grow steeply with N"
         )
     if max_n < 0:
         raise ConfigError("--max-n must be nonnegative")
@@ -431,11 +429,8 @@ def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
     output = _writing_stdout() if out_dir is None else _replacing(out_dir / "verification.json")
     with output as write:
         summary, stored_max = _write_verification(write, columns)
-    sys.stderr.write(
-        f"verified {summary['pairs_checked']} matrix elements, "
-        f"max |sq - oracle| = {summary['max_abs_diff']:.3e}\n"
-        f"max |sq - oracle| where sq is nonzero = {stored_max:.3e}\n"
-    )
+    _print_verified(summary)
+    sys.stderr.write(f"max |sq - oracle| where sq is nonzero = {stored_max:.3e}\n")
     return _verify_status(summary)
 
 
@@ -466,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--max-n",
                 type=int,
                 default=None,
-                help="largest constituent sector for oracle verification (guarded at 6); "
+                help=f"largest constituent sector for oracle verification (at most {VERIFY_MAX_N}); "
                 "on `spectrum` this also embeds a verification summary in the report",
             )
     return parser

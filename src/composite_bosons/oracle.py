@@ -77,7 +77,6 @@ from .algebra import (
 from .fock import OccupationState, SectorBasis, enumerate_sector, normalization_constant
 from .hamiltonian import TermId, build_term, coefficient_tensors
 from .modespace import CompositeSpectrum, ModeSpace
-from .numerics import SparseMatrix
 
 EXPANSION_GUARD = 6
 
@@ -470,19 +469,18 @@ def _oracle_column(
     term: TermId,
     ket: _Ket,
     index: dict[int, tuple[int, float]],
-    dim: int,
     memo: _Memo,
-) -> tuple[list[float], set[int]]:
+) -> dict[int, float]:
     """Column ``<i|term|ket>`` read from the emissions of ket's representative,
-    and the set of bras i it adds to (every other entry is +0.0).
+    keyed by the bras i it adds to; every other entry is +0.0.
 
     Each emission is read into its bra through the occupation code (see
     :func:`_slot_codes`): the ket's, minus the matched factors', plus the
     emitted bra's from the plan, looked up in ``index``
-    ``occupation -> (i, w_i)``, and added there as ``w_i * (weight * amp)``.
+    ``occupation -> (i, w_i)``, and added there, starting from 0.0, as
+    ``w_i * (weight * amp)``.
     """
-    column = [0.0] * dim
-    touched = set()
+    column: dict[int, float] = {}
     weight = ket.weight
     for entry in _plan(term, ket.layout, memo):
         emitted = entry.emitted(ket.modes)
@@ -491,9 +489,8 @@ def _oracle_column(
             codes = entry.codes
             for k, amp in emitted:
                 i, w_i = index[occupation + codes[k]]
-                column[i] += w_i * (weight * amp)
-                touched.add(i)
-    return column, touched
+                column[i] = column.get(i, 0.0) + w_i * (weight * amp)
+    return column
 
 
 def apply_projected_term(
@@ -544,26 +541,20 @@ def oracle_matrix_element(
 
 
 class Column(NamedTuple):
-    """One ket's column of one term block on one sector, read both ways."""
+    """One ket's column of one term block on one sector, read both ways.
+
+    The column is sparse: ``sq``, ``oracle`` and ``diff`` hold the values at
+    ``rows`` only, and every other bra is +0.0 on both routes.
+    """
 
     term: str
     sector: int
     bras: list[str]  # the names of the sector's states, in bra order
     ket: str
+    rows: list[int]  # ascending: the rows sq stores and the bras oracle adds to
     sq: list[float]
     oracle: list[float]
-    diff: list[float]  # |sq - oracle| per bra
-    # the bra positions, ascending, outside which sq, oracle and diff are
-    # all +0.0; None if not known
-    rows: list[int] | None = None
-
-
-def _stored_rows(block: SparseMatrix) -> list[list[int]]:
-    """The rows of each column's stored entries, ascending."""
-    by_column = block.transpose()
-    bounds = np.searchsorted(by_column.rows, np.arange(block.dim + 1)).tolist()
-    rows = by_column.cols.tolist()
-    return [rows[bounds[j] : bounds[j + 1]] for j in range(block.dim)]
+    diff: list[float]  # |sq - oracle| per listed row
 
 
 def sweep_columns(
@@ -591,8 +582,9 @@ def sweep_columns(
     the table of each shape and the emissions of each matched mode choice
     are computed once and reused by every ket, sector and term that meets
     them, so each shape is contracted once, even relabeled.  Each term block is
-    read once as Python floats; ``Column.rows`` joins its stored rows and
-    the bras the oracle column adds to, and ``diff`` is computed there only.
+    read once, by column, as Python floats.  Each column is sparse
+    (:class:`Column`): its rows join the rows sq stores and the bras the
+    oracle column adds to, and no list of the sector's dimension is built.
 
     The second-quantized blocks are built once per term, on the union of the
     distinct requested sectors, and each sector's block is read off as a
@@ -623,17 +615,19 @@ def sweep_columns(
             for i, (ket, s) in enumerate(zip(kets, basis.states))
         }
         for term in terms:
-            block = union_blocks[term].diagonal_block(lo, lo + basis.dim)
-            sq_columns = block.to_dense().T.tolist()
-            stored = _stored_rows(block)
+            # the block stored by column: ket j's entries are one slice
+            by_column = union_blocks[term].diagonal_block(lo, lo + basis.dim).transpose()
+            bounds = np.searchsorted(by_column.rows, np.arange(basis.dim + 1)).tolist()
+            stored_rows, stored = by_column.cols.tolist(), by_column.vals.tolist()
             for j, ket in enumerate(kets):
-                sq = sq_columns[j]
-                oracle, touched = _oracle_column(term, ket, index, basis.dim, memo)
-                rows = sorted(touched.union(stored[j]))
-                diff = [0.0] * basis.dim
-                for i in rows:
-                    diff[i] = abs(sq[i] - oracle[i])
-                yield Column(term.value, n, names, names[j], sq, oracle, diff, rows)
+                column = slice(bounds[j], bounds[j + 1])
+                sq = dict(zip(stored_rows[column], stored[column]))
+                oracle = _oracle_column(term, ket, index, memo)
+                rows = sorted(sq.keys() | oracle.keys())
+                sqs = [sq.get(i, 0.0) for i in rows]
+                oracles = [oracle.get(i, 0.0) for i in rows]
+                diffs = [abs(a - b) for a, b in zip(sqs, oracles)]
+                yield Column(term.value, n, names, names[j], rows, sqs, oracles, diffs)
 
 
 def report_layout(checks, summary) -> dict:
@@ -656,29 +650,32 @@ def verify_sectors(
     """Compare every term matrix element on full sectors against the oracle.
 
     Builds the report from :func:`sweep_columns`: one row per (term, bra,
-    ket) in sweep order, unless ``include_rows`` is false, and a summary of
-    the largest difference and the number of elements checked.  The report
-    holds every row, so its size grows with the sectors; ``cli verify``
-    writes the same text from the columns as they come instead.  Structure
-    is stable for JSON serialization.
+    ket) in sweep order, each sparse column read out over every bra, unless
+    ``include_rows`` is false, and a summary of the largest difference and
+    the number of elements checked.  The report holds every row, so its size
+    grows with the sectors; ``cli verify`` writes the same text from the
+    columns as they come instead.  Structure is stable for JSON
+    serialization.
     """
     rows: list[dict] = []
     max_diff = 0.0
     checked = 0
     for col in sweep_columns(space, spectrum, sector_numbers, terms):
-        max_diff = max(max_diff, *col.diff)
-        checked += len(col.diff)
+        max_diff = max([max_diff, *col.diff])
+        checked += len(col.bras)
         if include_rows:
-            rows.extend(
-                {
-                    "term": col.term,
-                    "sector": col.sector,
-                    "bra": bra,
-                    "ket": col.ket,
-                    "sq_value": sq_value,
-                    "oracle_value": oracle_value,
-                    "abs_diff": diff,
-                }
-                for bra, sq_value, oracle_value, diff in zip(col.bras, col.sq, col.oracle, col.diff)
-            )
+            listed = dict(zip(col.rows, zip(col.sq, col.oracle, col.diff)))
+            for i, bra in enumerate(col.bras):
+                sq_value, oracle_value, diff = listed.get(i, (0.0, 0.0, 0.0))
+                rows.append(
+                    {
+                        "term": col.term,
+                        "sector": col.sector,
+                        "bra": bra,
+                        "ket": col.ket,
+                        "sq_value": sq_value,
+                        "oracle_value": oracle_value,
+                        "abs_diff": diff,
+                    }
+                )
     return report_layout(rows, {"max_abs_diff": max_diff, "pairs_checked": checked})

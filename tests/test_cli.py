@@ -118,6 +118,26 @@ def test_spectrum_embeds_verification_when_requested(tmp_path):
     assert report["verification"]["pairs_checked"] > 0
 
 
+def test_spectrum_prints_the_verified_line_of_verify(tmp_path, capsys):
+    # built from the embedded summary, before the finished line; without
+    # --max-n only the finished line is printed
+    cfg = write_config(tmp_path, TWO_SITE)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["spectrum", "--config", cfg, "--out-dir", str(out), "--max-n", "2"]) == 0
+    verified, finished = capsys.readouterr().err.splitlines()
+    summary = json.loads((out / "report.json").read_text())["verification"]
+    assert verified == (
+        f"verified {summary['pairs_checked']} matrix elements, "
+        f"max |sq - oracle| = {summary['max_abs_diff']:.3e}"
+    )
+    assert finished.startswith("spectrum finished in ")
+    assert cli.main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "v"), "--max-n", "2"]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == verified
+    assert cli.main(["spectrum", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("spectrum finished in ")
+
+
 def test_verify_two_site(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, TWO_SITE)
@@ -132,7 +152,7 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TWO_SITE)
 
     def fake_sweep(space, spectrum, sectors):
-        yield Column("SS", 0, ["|0 ; 0⟩"], "|0 ; 0⟩", [1e-6], [0.0], [1e-6])
+        yield Column("SS", 0, ["|0 ; 0⟩"], "|0 ; 0⟩", [0], [1e-6], [0.0], [1e-6])
 
     monkeypatch.setattr(cli, "sweep_columns", fake_sweep)
     rc = cli.main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o")])
@@ -209,9 +229,9 @@ def test_entrypoint_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
 
 def _sweep_failing_with(kind):
     def sweep(space, spectrum, sectors):
-        yield Column("SS", 0, ["a", "b"], "a", [1.0, 0.0], [1.0, 0.0], [0.0, 0.0])
+        yield Column("SS", 0, ["a", "b"], "a", [0], [1.0], [1.0], [0.0])
         if kind == "non-finite":
-            yield Column("SS", 0, ["a", "b"], "b", [0.0, 1.0], [0.0, math.nan], [0.0, math.nan])
+            yield Column("SS", 0, ["a", "b"], "b", [1], [1.0], [math.nan], [math.nan])
         else:
             raise OSError(28, "No space left on device")
 
@@ -331,10 +351,14 @@ def test_spectrum_exit_code_on_verification_failure(tmp_path, monkeypatch):
     assert report["verification"] == {"max_abs_diff": 1e-6, "pairs_checked": 1}
 
 
-def test_verify_max_n_guard(tmp_path):
+def test_verify_max_n_guard(tmp_path, capsys):
+    # the cap bounds the sweep's cost; the sweep expands no permutations
     cfg = write_config(tmp_path, TWO_SITE)
     rc = cli.main(["verify", "--config", cfg, "--max-n", "7"])
     assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-n 7 exceeds the verification cap 6: ")
+    assert "permutation" not in err
 
 
 @pytest.mark.parametrize("max_n", ["7", "-1"])
@@ -578,13 +602,19 @@ def test_verification_text_rejects_non_finite():
 )
 def test_row_formatter_writes_zero_runs_as_each_row_alone(rows):
     # runs of all-zero rows are joined in one go around the listed rows;
-    # the text equals the one that formats every row on its own, also for
-    # -0.0 (printed -0) and for a listed row of zeros
+    # the text equals the one of a column that lists every row, each row
+    # formatted on its own, also for -0.0 (printed -0) and for a listed row
+    # of zeros
     sqs = [v if row in rows else 0.0 for row, v in enumerate([0.0, -0.0, 0.25, 0.0, -1.5])]
     oracles = [v if row in rows else 0.0 for row, v in enumerate([0.0, 0.0, 0.25, 0.0, -1.25])]
     diffs = [abs(s - o) for s, o in zip(sqs, oracles)]
     bras = [f"|{b}⟩" for b in range(5)]
-    formatted = cli._RowFormatter()("SS", 2, "|k⟩", bras, sqs, oracles, diffs, rows)
-    alone = cli._RowFormatter()("SS", 2, "|k⟩", bras, sqs, oracles, diffs)
-    assert formatted == alone
+
+    def column(listed):
+        values = [[v[i] for i in listed] for v in (sqs, oracles, diffs)]
+        return Column("SS", 2, bras, "|k⟩", listed, *values)
+
+    formatted = cli._RowFormatter()(column(rows))
+    every_row = cli._RowFormatter()(column(list(range(5))))
+    assert formatted == every_row
     assert formatted.count('"bra"') == 5

@@ -563,4 +563,37 @@ def test_sweep_columns_takes_sectors_in_the_order_given(random_model, numbers):
     for col in got:
         assert col.bras == [str(s) for s in bases[col.sector].states]
         want_sq = blocks[col.sector, col.term][:, col.bras.index(col.ket)]
-        assert np.array_equal(np.array(col.sq).view(np.int64), want_sq.view(np.int64))
+        assert np.array_equal(_dense(col, col.sq).view(np.int64), want_sq.view(np.int64))
+
+
+def _dense(col, values):
+    out = np.zeros(len(col.bras))
+    out[col.rows] = values
+    return out
+
+
+@pytest.mark.parametrize("model", ["two_site", "random_model"])
+def test_sweep_columns_are_sparse(model, request):
+    # a column lists its rows ascending, every row the sq block stores among
+    # them; expanded to dense it is bitwise the build_term column, and the
+    # vacuum's columns list no row while the summary still counts their pairs
+    from composite_bosons.hamiltonian import build_term
+
+    space, spectrum = request.getfixturevalue(model)
+    blocks = {
+        (n, term.value): build_term(term, enumerate_sector(n, space.n_modes, spectrum.n_composites),
+                                    space, spectrum)
+        for n in range(6)
+        for term in TermId
+    }
+    for col in oracle.sweep_columns(space, spectrum, range(6)):
+        block, j = blocks[col.sector, col.term], col.bras.index(col.ket)
+        assert col.rows == sorted(set(col.rows))
+        assert set(block.rows[block.cols == j].tolist()) <= set(col.rows)
+        assert len(col.sq) == len(col.oracle) == len(col.diff) == len(col.rows)
+        want = block.to_dense()[:, j]
+        assert np.array_equal(_dense(col, col.sq).view(np.int64), want.view(np.int64))
+        if col.sector == 0:
+            assert col.rows == []
+    summary = verify_sectors(space, spectrum, [0], include_rows=False)["summary"]
+    assert summary == {"max_abs_diff": 0.0, "pairs_checked": 7}
