@@ -30,7 +30,7 @@ from .hamiltonian import (
 from .modespace import CompositeSpectrum, ModeSpace
 from .models import ConfigError, ModelConfig, build_mode_space, load_config
 from .numerics import EigenConvergenceError, NonSymmetricError, sparse_lowest_eigen
-from .oracle import Column, report_layout, sweep_columns, verify_sectors
+from .oracle import TERM_READING, Column, sweep_columns, verify_sectors
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -133,7 +133,7 @@ class _RowFormatter:
                 f'    {{\n      "term": {_quote(col.term)},\n'
                 f'      "sector": {col.sector:d},\n      "bra": '
             )
-        if col.bras != self._bras:  # the columns of a sector share their bras
+        if col.bras is not self._bras:  # the columns of a sector share one list
             self._bras, self._quoted = col.bras, [self._names[bra] for bra in col.bras]
         quoted = self._quoted
         ket_part = f',\n      "ket": {self._names[col.ket]}'
@@ -173,36 +173,21 @@ def _write_report(write: Callable[[str], object], report: dict) -> None:
     write("\n}\n")
 
 
-def verification_text(report: dict) -> str:
-    """``dump_json(report)`` and a newline, for a :func:`verify_sectors` report.
-
-    The check rows go through the row formatter ``cli verify`` streams with;
-    the other members go through :func:`dump_json`.
-    """
-    format_rows = _RowFormatter()
-    rows = (
-        format_rows(Column(r["term"], r["sector"], [r["bra"]], r["ket"], [0],
-                           [r["sq_value"]], [r["oracle_value"]], [r["abs_diff"]]))
-        for r in report["checks"]
-    )
-    pieces: list[str] = []
-    _write_report(pieces.append, {**report, "checks": rows})
-    return "".join(pieces)
-
-
 def _write_verification(
     write: Callable[[str], object], columns: Iterable[Column]
 ) -> tuple[dict, float]:
     """Write the verification report of ``columns`` as they are computed.
 
-    Each column's rows are formatted and written before the next column is
-    asked for, so memory does not grow with the row count.  The text is the
-    one :func:`verification_text` gives for ``verify_sectors`` over the same
-    sweep.  Maxima are taken over the rows each sparse column lists, since
-    every other row differs by +0.0.  Returns the summary and, beside it,
-    the largest difference over the entries where the sq value is nonzero:
-    the gated maximum also covers entries that the sq route dropped as
-    roundoff.
+    This is the report's one writer and layout: the schema version, the term
+    readings, one row per (term, bra, ket) in sweep order and the summary,
+    as :func:`dump_json` gives them, and a newline.  Each column's rows are
+    written before the next column is asked for, so memory does not grow
+    with the row count.  Maxima are taken over the rows each sparse column
+    lists, since every other row differs by +0.0, so the summary is the one
+    ``verify_sectors`` gives for the same sweep.  Returns the summary and,
+    beside it, the largest difference over the entries where the sq value
+    is nonzero: the gated maximum also covers entries that the sq route
+    dropped as roundoff.
     """
     summary = {"max_abs_diff": 0.0, "pairs_checked": 0}
     stored_max = 0.0
@@ -216,7 +201,12 @@ def _write_verification(
             stored_max = max([stored_max, *(d for sq, d in zip(col.sq, col.diff) if sq != 0.0)])
             yield format_rows(col)
 
-    _write_report(write, report_layout(rows(), summary))
+    _write_report(write, {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "conventions": TERM_READING,
+        "checks": rows(),
+        "summary": summary,
+    })
     return summary, stored_max
 
 
@@ -366,12 +356,10 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
     }
     status = EXIT_OK
     if verify_max_n is not None:
-        verification = verify_sectors(
-            space, spectrum, range(verify_max_n + 1), include_rows=False
-        )
-        report["verification"] = verification["summary"]
-        status = _verify_status(verification["summary"])
-        _print_verified(verification["summary"])
+        summary = verify_sectors(space, spectrum, range(verify_max_n + 1))
+        report["verification"] = summary
+        status = _verify_status(summary)
+        _print_verified(summary)
     write_report(report, sector_eigs, hams, out_dir)
     sys.stderr.write(f"spectrum finished in {time.perf_counter() - started:.3f}s\n")
     return status

@@ -46,7 +46,8 @@ the second-quantized one, and uses two closed forms of those expansions:
   emission is added straight into its bra with that weight; no output
   product is built.
 
-:func:`verify_sectors` collects the sweep's columns into a report dict.
+:func:`verify_sectors` folds the sweep's columns into a summary; the report's
+layout, with a row per checked element, belongs to ``cli verify``.
 """
 
 from __future__ import annotations
@@ -561,22 +562,21 @@ def sweep_columns(
     space: ModeSpace,
     spectrum: CompositeSpectrum,
     sector_numbers: Iterable[int],
-    terms: Sequence[TermId] = tuple(TermId),
 ) -> Iterator[Column]:
     """Every column of every term block on the given sectors, sq beside oracle.
 
-    Columns come term by term within a sector, kets in basis order.  Each
-    term is applied to one labeled representative per ket, the
-    identity-permutation product weighted by N! times the normalization
-    constant (the sum of the expansion's weights).  This is exact because the
-    projected terms commute with relabeling and the bra expansions are
-    symmetric.  Column j is read straight from the emission core: each
-    emission's bra occupation (the ket's, minus the matched factors, plus the
-    emitted ones) indexes ``occupation code -> (bra index, w_i)``, w_i being
-    the weight of any one labeled product in bra i's expansion.  No
-    expansion and no output product is built, and the sums run in emission
-    order, so the column is the one :func:`apply_projected_term` would give
-    up to roundoff, not bitwise.
+    Columns come for all seven terms, term by term within a sector, kets in
+    basis order.  Each term is applied to one labeled representative per
+    ket, the identity-permutation product weighted by N! times the
+    normalization constant (the sum of the expansion's weights).  This is
+    exact because the projected terms commute with relabeling and the bra
+    expansions are symmetric.  Column j is read straight from the emission
+    core: each emission's bra occupation (the ket's, minus the matched
+    factors, plus the emitted ones) indexes ``occupation code -> (bra
+    index, w_i)``, w_i being the weight of any one labeled product in bra
+    i's expansion.  No expansion and no output product is built, and the
+    sums run in emission order, so the column is the one
+    :func:`apply_projected_term` would give up to roundoff, not bitwise.
 
     One memo serves the whole sweep: the plan of each (term, label layout),
     the table of each shape and the emissions of each matched mode choice
@@ -604,7 +604,7 @@ def sweep_columns(
     }
     union = SectorBasis.union(*bases.values())
     tensors = coefficient_tensors(space, spectrum)
-    union_blocks = {term: build_term(term, union, space, spectrum, tensors) for term in terms}
+    union_blocks = {term: build_term(term, union, space, spectrum, tensors) for term in TermId}
     starts = dict(zip(bases, np.cumsum([0, *(b.dim for b in bases.values())]).tolist()))
     for n in numbers:
         basis, lo = bases[n], starts[n]
@@ -614,7 +614,7 @@ def sweep_columns(
             ket.occupation: (i, labeled_product_weight(s))
             for i, (ket, s) in enumerate(zip(kets, basis.states))
         }
-        for term in terms:
+        for term in TermId:
             # the block stored by column: ket j's entries are one slice
             by_column = union_blocks[term].diagonal_block(lo, lo + basis.dim).transpose()
             bounds = np.searchsorted(by_column.rows, np.arange(basis.dim + 1)).tolist()
@@ -630,52 +630,21 @@ def sweep_columns(
                 yield Column(term.value, n, names, names[j], rows, sqs, oracles, diffs)
 
 
-def report_layout(checks, summary) -> dict:
-    """The members of a verification report, in the order they are written."""
-    return {
-        "schema_version": 1,
-        "conventions": dict(TERM_READING),
-        "checks": checks,
-        "summary": summary,
-    }
-
-
 def verify_sectors(
     space: ModeSpace,
     spectrum: CompositeSpectrum,
     sector_numbers: Iterable[int],
-    terms: Sequence[TermId] = tuple(TermId),
-    include_rows: bool = True,
 ) -> dict:
     """Compare every term matrix element on full sectors against the oracle.
 
-    Builds the report from :func:`sweep_columns`: one row per (term, bra,
-    ket) in sweep order, each sparse column read out over every bra, unless
-    ``include_rows`` is false, and a summary of the largest difference and
-    the number of elements checked.  The report holds every row, so its size
-    grows with the sectors; ``cli verify`` writes the same text from the
-    columns as they come instead.  Structure is stable for JSON
-    serialization.
+    Folds :func:`sweep_columns` into ``{"max_abs_diff", "pairs_checked"}``:
+    the largest difference over the rows each sparse column lists, since
+    every other row differs by +0.0, and the number of elements checked.
+    No column is kept, so memory does not grow with the sectors.
     """
-    rows: list[dict] = []
     max_diff = 0.0
     checked = 0
-    for col in sweep_columns(space, spectrum, sector_numbers, terms):
+    for col in sweep_columns(space, spectrum, sector_numbers):
         max_diff = max([max_diff, *col.diff])
         checked += len(col.bras)
-        if include_rows:
-            listed = dict(zip(col.rows, zip(col.sq, col.oracle, col.diff)))
-            for i, bra in enumerate(col.bras):
-                sq_value, oracle_value, diff = listed.get(i, (0.0, 0.0, 0.0))
-                rows.append(
-                    {
-                        "term": col.term,
-                        "sector": col.sector,
-                        "bra": bra,
-                        "ket": col.ket,
-                        "sq_value": sq_value,
-                        "oracle_value": oracle_value,
-                        "abs_diff": diff,
-                    }
-                )
-    return report_layout(rows, {"max_abs_diff": max_diff, "pairs_checked": checked})
+    return {"max_abs_diff": max_diff, "pairs_checked": checked}

@@ -374,8 +374,7 @@ def _sweep_tables(monkeypatch, space, spectrum):
         return table(left, ops, right, *args)
 
     monkeypatch.setattr(oracle, "fragment_table", recording)
-    report = verify_sectors(space, spectrum, range(6), include_rows=False)
-    assert report["summary"]["pairs_checked"] == 26110
+    assert verify_sectors(space, spectrum, range(6))["pairs_checked"] == 26110
     return tables
 
 

@@ -11,7 +11,7 @@ import pytest
 from composite_bosons import cli
 from composite_bosons.modespace import LowestK
 from composite_bosons.models import build_ring_model, random_mode_space
-from composite_bosons.oracle import Column, verify_sectors
+from composite_bosons.oracle import TERM_READING, Column, sweep_columns, verify_sectors
 
 
 TWO_SITE = {
@@ -165,7 +165,10 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
 def test_verify_streams_verification_text(tmp_path, capsys, doc, max_n):
     cfg = write_config(tmp_path, doc)
     space, spectrum = cli._solve(cli.load_config(json.dumps(doc)))
-    want = cli.verification_text(verify_sectors(space, spectrum, range(max_n + 1)))
+    sectors = range(max_n + 1)
+    report = _dense_report(sweep_columns(space, spectrum, sectors),
+                           verify_sectors(space, spectrum, sectors))
+    want = cli.dump_json(report) + "\n"
     out = tmp_path / "out"
     assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", str(max_n)]) == 0
     assert (out / "verification.json").read_bytes() == want.encode("ascii")
@@ -336,13 +339,8 @@ def test_spectrum_exit_code_on_verification_failure(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, TWO_SITE)
     out = tmp_path / "o"
 
-    def fake_verify(space, spectrum, sectors, include_rows=True):
-        return {
-            "schema_version": 1,
-            "conventions": {},
-            "checks": [],
-            "summary": {"max_abs_diff": 1e-6, "pairs_checked": 1},
-        }
+    def fake_verify(space, spectrum, sectors):
+        return {"max_abs_diff": 1e-6, "pairs_checked": 1}
 
     monkeypatch.setattr(cli, "verify_sectors", fake_verify)
     rc = cli.main(["spectrum", "--config", cfg, "--out-dir", str(out), "--max-n", "2"])
@@ -541,60 +539,71 @@ def test_dump_json_rejects_non_finite():
         cli.dump_json({"x": float("nan")})
 
 
-def _two_site_report(**kwargs):
+def _dense_report(columns, summary):
+    # the verification report as plain data: one row per (term, bra, ket) in
+    # sweep order, every row a sparse column does not list all +0.0
+    rows = []
+    for col in columns:
+        listed = dict(zip(col.rows, zip(col.sq, col.oracle, col.diff)))
+        for i, bra in enumerate(col.bras):
+            sq_value, oracle_value, diff = listed.get(i, (0.0, 0.0, 0.0))
+            rows.append({"term": col.term, "sector": col.sector, "bra": bra, "ket": col.ket,
+                         "sq_value": sq_value, "oracle_value": oracle_value, "abs_diff": diff})
+    return {"schema_version": 1, "conventions": TERM_READING, "checks": rows, "summary": summary}
+
+
+def _swept(space, spectrum, sectors):
+    return list(sweep_columns(space, spectrum, sectors)), verify_sectors(space, spectrum, sectors)
+
+
+def _two_site_sweep():
     space = build_ring_model(2, 1.0, -4.0)
-    return verify_sectors(space, space.solve_composites(LowestK(1)), range(0, 4), **kwargs)
+    return _swept(space, space.solve_composites(LowestK(1)), range(0, 4))
 
 
-def _random_report(**kwargs):
+def _random_sweep(sectors=range(0, 4)):
     space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
-    return verify_sectors(space, space.solve_composites(LowestK(2)), range(0, 4), **kwargs)
+    return _swept(space, space.solve_composites(LowestK(2)), sectors)
 
 
-def _hand_made_report():
+def _hand_made_sweep():
+    # names with é, ⟩, a tab, quotes and a backslash; values with -0.0,
+    # 1e-300 and ±1.8e308; each column leaves one row unlisted
     values = [0.0, -0.0, 1e-300, -2.5, 1.0 / 3.0, -1.7976931348623157e308]
-    rows = [
-        {
-            "term": "SCSC",
-            "sector": 12,
-            "bra": "|0,2 ; 1⟩é",
-            "ket": 'tab\t"q"\\',
-            "sq_value": a,
-            "oracle_value": b,
-            "abs_diff": abs(a - b),
-        }
-        for a, b in zip(values, reversed(values))
-    ]
-    return {
-        "schema_version": 1,
-        "conventions": {"note": "⟩"},
-        "checks": rows,
-        "summary": {"max_abs_diff": 0.0, "pairs_checked": len(rows)},
-    }
+    pairs = list(zip(values, reversed(values)))
+    bras = ["|0,2 ; 1⟩é", 'tab\t"q"\\', "|1 ; 0⟩", "|0 ; 1⟩"]
+    columns = []
+    for j, rows in enumerate([[0, 1, 3], [1, 2, 3]]):
+        sqs, oracles = map(list, zip(*pairs[3 * j:3 * j + 3]))
+        diffs = [abs(a - b) for a, b in zip(sqs, oracles)]
+        columns.append(Column("SCSC", 12, bras, bras[j + 1], rows, sqs, oracles, diffs))
+    summary = {"max_abs_diff": max(d for col in columns for d in col.diff),
+               "pairs_checked": sum(len(col.bras) for col in columns)}
+    return columns, summary
 
 
 @pytest.mark.parametrize(
     "make",
-    [
-        _two_site_report,
-        _random_report,
-        lambda: _random_report(include_rows=False),
-        _hand_made_report,
-    ],
+    [_two_site_sweep, _random_sweep, lambda: _random_sweep([]), _hand_made_sweep],
     ids=["two-site", "random", "no-rows", "hand-made"],
 )
 def test_verification_text_is_dump_json(make):
-    report = make()
-    assert cli.verification_text(report) == cli.dump_json(report) + "\n"
+    # the streamed report is dump_json of the dense report, and the summary it
+    # folds is verify_sectors'
+    columns, summary = make()
+    pieces = []
+    written, _ = cli._write_verification(pieces.append, iter(columns))
+    assert written == summary
+    assert "".join(pieces) == cli.dump_json(_dense_report(columns, summary)) + "\n"
 
 
 def test_verification_text_rejects_non_finite():
-    report = _hand_made_report()
-    report["checks"][2]["oracle_value"] = float("nan")
+    columns, summary = _hand_made_sweep()
+    columns[0].oracle[1] = float("nan")
     with pytest.raises(ValueError, match="non-finite"):
-        cli.dump_json(report)
+        cli.dump_json(_dense_report(columns, summary))
     with pytest.raises(ValueError, match="non-finite"):
-        cli.verification_text(report)
+        cli._write_verification(lambda text: None, columns)
 
 
 @pytest.mark.parametrize(

@@ -164,21 +164,24 @@ def test_unit_resolution_consistency(two_site, n):
 
 
 def test_verify_sectors_two_site(two_site):
+    # the summary folds the swept columns: the largest listed difference and
+    # every (bra, ket) element of every term block
     space, spectrum = two_site
-    report = verify_sectors(space, spectrum, range(0, 4))
-    assert report["summary"]["max_abs_diff"] <= 1e-10
-    assert report["summary"]["pairs_checked"] == sum(
+    summary = verify_sectors(space, spectrum, range(0, 4))
+    columns = list(oracle.sweep_columns(space, spectrum, range(0, 4)))
+    assert summary == {
+        "max_abs_diff": max(d for col in columns for d in col.diff),
+        "pairs_checked": sum(len(col.bras) for col in columns),
+    }
+    assert summary["max_abs_diff"] <= 1e-10
+    assert summary["pairs_checked"] == sum(
         7 * enumerate_sector(n, 2, 1).dim ** 2 for n in range(0, 4)
     )
-    row = report["checks"][0]
-    assert set(row) == {"term", "sector", "bra", "ket", "sq_value", "oracle_value", "abs_diff"}
-    assert "conventions" in report
 
 
 def test_verify_sectors_random_model_n3(random_model):
     space, spectrum = random_model
-    report = verify_sectors(space, spectrum, range(0, 4), include_rows=False)
-    assert report["summary"]["max_abs_diff"] <= 1e-10
+    assert verify_sectors(space, spectrum, range(0, 4))["max_abs_diff"] <= 1e-10
 
 
 def test_n5_spot_check(two_site):
@@ -204,8 +207,7 @@ def test_verify_sectors_matches_full_expansion(model, request):
     # full-orbit application of oracle_matrix_element is the reference, with
     # each ket's applied expansion computed once and projected on every bra
     space, spectrum = request.getfixturevalue(model)
-    report = verify_sectors(space, spectrum, range(0, 5))
-    swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
+    swept = _swept_oracle(space, spectrum, range(0, 5))
     compared = 0
     for n in range(0, 5):
         states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
@@ -218,7 +220,18 @@ def test_verify_sectors_matches_full_expansion(model, request):
                     got = swept[(term.value, str(bra), str(ket))]
                     assert got == pytest.approx(want, abs=1e-12), (term, bra, ket)
                     compared += 1
-    assert compared == report["summary"]["pairs_checked"] == len(swept)
+    assert compared == verify_sectors(space, spectrum, range(0, 5))["pairs_checked"] == len(swept)
+
+
+def _swept_oracle(space, spectrum, sectors):
+    # the oracle value of every (term, bra, ket) the sweep checks; each
+    # column is +0.0 at the rows it does not list
+    swept = {}
+    for col in oracle.sweep_columns(space, spectrum, sectors):
+        listed = dict(zip(col.rows, col.oracle))
+        for i, bra in enumerate(col.bras):
+            swept[col.term, bra, col.ket] = listed.get(i, 0.0)
+    return swept
 
 
 def _split(prod, slots):
@@ -292,8 +305,7 @@ def test_verify_sectors_columns_are_the_collected_ones(model, request):
     # in emission order and collect sums per product first.  N <= 5 of
     # random_model is the 26,110 pairs of the oracle-verify benchmark model
     space, spectrum = request.getfixturevalue(model)
-    report = verify_sectors(space, spectrum, range(0, 6))
-    swept = {(r["term"], r["bra"], r["ket"]): r["oracle_value"] for r in report["checks"]}
+    swept = _swept_oracle(space, spectrum, range(0, 6))
     compared = 0
     for n in range(0, 6):
         states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
@@ -318,7 +330,7 @@ def test_verify_sectors_columns_are_the_collected_ones(model, request):
                     got = swept[(term.value, str(bra), str(ket))]
                     assert abs(got - want) <= tol, (term, bra, ket, got, want)
                     compared += 1
-    assert compared == report["summary"]["pairs_checked"] == len(swept)
+    assert compared == verify_sectors(space, spectrum, range(0, 6))["pairs_checked"] == len(swept)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -329,8 +341,8 @@ def test_sq_matches_oracle_on_random_models(seed, n_modes, k):
     space = random_mode_space(n_modes, seed, attraction=(40.0, 55.0)[:k])
     assume(space.solve_composites(BelowEdge()).n_composites >= k)  # the k-th state is bound
     spectrum = space.solve_composites(LowestK(k))
-    report = verify_sectors(space, spectrum, range(4), include_rows=False)
-    assert report["summary"]["max_abs_diff"] <= 1e-10, report["summary"]
+    summary = verify_sectors(space, spectrum, range(4))
+    assert summary["max_abs_diff"] <= 1e-10, summary
 
 
 def _recording_tables(monkeypatch):
@@ -358,8 +370,7 @@ def test_verify_sectors_contracts_each_fragment_once(random_model, monkeypatch):
     # is evaluated on its own
     space, spectrum = random_model
     calls = _recording_tables(monkeypatch)
-    report = verify_sectors(space, spectrum, range(0, 6), include_rows=False)
-    assert report["summary"]["pairs_checked"] == 26_110
+    assert verify_sectors(space, spectrum, range(0, 6))["pairs_checked"] == 26_110
     assert calls
     assert len(set(calls)) == len(calls)
 
@@ -385,8 +396,7 @@ def test_verify_sectors_builds_each_shape_table_once(random_model, monkeypatch):
     # sweep meets 9 shapes, with 11 left structures among them
     space, spectrum = random_model
     calls = _recording_tables(monkeypatch)
-    report = verify_sectors(space, spectrum, range(0, 6), include_rows=False)
-    assert report["summary"]["pairs_checked"] == 26_110
+    assert verify_sectors(space, spectrum, range(0, 6))["pairs_checked"] == 26_110
     shapes = [_renumbered(*call) for call in calls]
     assert len(shapes) == len(set(shapes)) == 11
 
@@ -480,23 +490,24 @@ def test_product_codes_name_occupations(n, n_modes, n_composites):
 
 def test_verify_sectors_memo_does_not_outlive_a_call(two_site, random_model):
     # a sweep of another model in the same process leaves nothing behind:
-    # the report equals one computed in a fresh interpreter
+    # every swept column, each value to its last bit, equals the one a fresh
+    # interpreter gives
     script = (
         "import json, sys\n"
         "from composite_bosons.modespace import LowestK\n"
         "from composite_bosons.models import random_mode_space\n"
-        "from composite_bosons.oracle import verify_sectors\n"
+        "from composite_bosons.oracle import sweep_columns\n"
         "space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))\n"
-        "report = verify_sectors(space, space.solve_composites(LowestK(2)), range(0, 4))\n"
-        "json.dump(report, sys.stdout)\n"
+        "columns = sweep_columns(space, space.solve_composites(LowestK(2)), range(0, 4))\n"
+        "json.dump([list(col) for col in columns], sys.stdout)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    fresh = json.loads(done.stdout)
-    verify_sectors(*two_site, range(0, 4))
-    assert verify_sectors(*random_model, range(0, 4)) == fresh
+    list(oracle.sweep_columns(*two_site, range(0, 4)))
+    columns = oracle.sweep_columns(*random_model, range(0, 4))
+    assert json.dumps([list(col) for col in columns]) == done.stdout
 
 
 def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch):
@@ -512,8 +523,7 @@ def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch)
             yield right, ops, lefts
 
     monkeypatch.setattr(oracle, "_term_blueprints", broken)
-    report = verify_sectors(space, spectrum, range(0, 4), terms=(TermId.SCSC,), include_rows=False)
-    assert report["summary"]["max_abs_diff"] > 1e-10
+    assert verify_sectors(space, spectrum, range(0, 4))["max_abs_diff"] > 1e-10
 
 
 def test_closed_forms_match_expansion(random_model):
@@ -537,9 +547,9 @@ def test_closed_forms_match_expansion(random_model):
 
 def test_verify_sectors_full_sweep_n6(random_model):
     space, spectrum = random_model
-    report = verify_sectors(space, spectrum, [6], include_rows=False)
-    assert report["summary"]["pairs_checked"] == 7 * 80**2 == 44_800
-    assert report["summary"]["max_abs_diff"] <= 1e-10
+    summary = verify_sectors(space, spectrum, [6])
+    assert summary["pairs_checked"] == 7 * 80**2 == 44_800
+    assert summary["max_abs_diff"] <= 1e-10
 
 
 @pytest.mark.parametrize("numbers", [[2, 2], [3, 1], [4, 0, 2], []])
@@ -595,5 +605,5 @@ def test_sweep_columns_are_sparse(model, request):
         assert np.array_equal(_dense(col, col.sq).view(np.int64), want.view(np.int64))
         if col.sector == 0:
             assert col.rows == []
-    summary = verify_sectors(space, spectrum, [0], include_rows=False)["summary"]
+    summary = verify_sectors(space, spectrum, [0])
     assert summary == {"max_abs_diff": 0.0, "pairs_checked": 7}
