@@ -89,14 +89,6 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-class _Quoted(dict):
-    """JSON-quoted strings, each quoted once."""
-
-    def __missing__(self, key: str) -> str:
-        text = self[key] = _quote(key)
-        return text
-
-
 _ZERO_VALUES = ',\n      "sq_value": 0,\n      "oracle_value": 0,\n      "abs_diff": 0\n    }'
 
 
@@ -111,32 +103,28 @@ def _values(sq: float, oracle: float, diff: float) -> str:
 class _RowFormatter:
     """Rows of ``checks`` in the layout :func:`dump_json` gives them.
 
-    The head of each (term, sector) and each quoted state name are built
-    once.  A :class:`Column` lists the rows it holds values for; every other
-    row is all +0.0, most rows of a sweep, and they share one constant tail.
+    A sector's bra names are quoted once.  A :class:`Column` lists the rows
+    it holds values for; every other row is all +0.0, most rows of a sweep,
+    and they share one constant tail.
     Each run of them between two listed rows is written by one ``str.join``
     over the quoted bra names.  A listed row of zeros comes out as the shared
     tail does, and -0.0 prints as ``-0``.
     """
 
     def __init__(self) -> None:
-        self._heads: dict[tuple[str, int], str] = {}
-        self._names = _Quoted()
         self._bras: Sequence[str] = ()
         self._quoted: list[str] = []
 
     def __call__(self, col: Column) -> str:
         """The rows of one column, one per bra, joined by ``",\n"``."""
-        head = self._heads.get((col.term, col.sector))
-        if head is None:
-            head = self._heads[col.term, col.sector] = (
-                f'    {{\n      "term": {_quote(col.term)},\n'
-                f'      "sector": {col.sector:d},\n      "bra": '
-            )
+        head = (
+            f'    {{\n      "term": {_quote(col.term)},\n'
+            f'      "sector": {col.sector:d},\n      "bra": '
+        )
         if col.bras is not self._bras:  # the columns of a sector share one list
-            self._bras, self._quoted = col.bras, [self._names[bra] for bra in col.bras]
+            self._bras, self._quoted = col.bras, [_quote(bra) for bra in col.bras]
         quoted = self._quoted
-        ket_part = f',\n      "ket": {self._names[col.ket]}'
+        ket_part = f',\n      "ket": {_quote(col.ket)}'
         zero_tail = ket_part + _ZERO_VALUES
         zero_gap = zero_tail + ",\n" + head
         pieces = []

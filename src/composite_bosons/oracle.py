@@ -7,27 +7,28 @@ and re-emitting the target structure with exactly contracted amplitudes.
 Matrix elements computed this way never touch ladder operators, so they
 cross-check the second-quantized construction term by term.
 
-One emission core, :func:`_emissions`, applies a term to a labeled product.
-Which blueprints match the product, at which factor positions, and which
-factors are spectators depends only on its label layout (which labels are
-atoms, which are paired), not on the modes; so does every bra configuration
-a matched blueprint emits.  The core plans that once per (term, layout).
-The amplitudes a matched blueprint emits depend only on its shape (the
-term, operators and slots with labels renumbered in order) and the modes of
-the matched factors.  Each shape is contracted once, as one
+One plan, :func:`_plan`, says how a term acts on a labeled product.  Which
+blueprints match the product, at which factor positions, and which factors
+are spectators depends only on its label layout (which labels are atoms,
+which are paired), not on the modes; so does every bra configuration a
+matched blueprint emits.  The plan is made once per (term, layout).  The
+amplitudes a matched blueprint emits depend only on its shape (the term,
+operators and slots with labels renumbered in order) and the modes of the
+matched factors.  Each shape is contracted once, as one
 :func:`~composite_bosons.algebra.fragment_table` per left structure over
 every mode choice of its slots, and the emissions of a matched mode choice
 are the nonzero entries of that choice's column, stored as (position in the
 bra list, amplitude).  Plans and tables live in a memo the caller creates
-per call, so nothing outlives one model or one sweep.  The tables are
-built from the blueprint slots alone, never from the second-quantized
-coefficient tensors.
+per call, so nothing outlives one model or one sweep.  The tables are built
+from the blueprint slots alone, never from the second-quantized coefficient
+tensors.
 
-:func:`apply_projected_term` collects the core's output products.
-:func:`oracle_matrix_element` applies a term to every labeled product of the
-ket's expansion and takes the ideal inner product with the bra's expansion;
-it is the brute-force reference.  :func:`sweep_columns` reads the same
-emission core directly, yields each ket's column of each term block beside
+:func:`apply_projected_term` collects the output products of
+:func:`_emissions`.  :func:`oracle_matrix_element` applies a term to every
+labeled product of the ket's expansion and takes the ideal inner product
+with the bra's expansion; it is the brute-force reference.
+:func:`sweep_columns` reads the same plans and tables through
+:func:`_oracle_column`, yields each ket's column of each term block beside
 the second-quantized one, and uses two closed forms of those expansions:
 
 * Each projected term sums over all label choices, so it commutes with
@@ -36,11 +37,13 @@ the second-quantized one, and uses two closed forms of those expansions:
   term to one representative, the identity-permutation product (atoms take
   labels 1.. in mode order, then each pair two consecutive labels), weighted
   by the sum of K's expansion weights, N! times its normalization constant.
+  :func:`_ket` reads its layout, modes and codes from K's occupation counts;
+  no product is built.
 * A labeled product fixes its occupation (atoms per mode, pairs per
   composite), so each emission is read into its bra through the occupation
   alone: the ket's, minus the matched factors, plus the emitted ones, kept
-  as an integer code (:func:`_slot_codes`) that the plan holds per bra.  In
-  the expansion of bra B a labeled product carries the weight
+  as an integer code, a sum of :func:`_digits`, that the plan holds per
+  bra.  In the expansion of bra B a labeled product carries the weight
   w_B = c_B * prod(n_m!) * prod(k_a! 2^k_a), c_B the normalization constant:
   the count of label permutations that fix one labeled product.  Each
   emission is added straight into its bra with that weight; no output
@@ -124,26 +127,6 @@ def expand_basis_state(state: OccupationState) -> FormalState:
             pos += 2
         products.append(FormalProduct(weight, tuple(factors)))
     return FormalState.collect(products)
-
-
-def representative_product(state: OccupationState) -> FormalProduct:
-    """The identity-permutation product of ``state``'s expansion, carrying its
-    total weight N! times the normalization constant.
-
-    Atoms take labels 1.. in mode order, then each pair two consecutive labels.
-    """
-    factors: list[FormalFactor] = []
-    label = 1
-    for mode, count in enumerate(state.atoms):
-        for _ in range(count):
-            factors.append(Atom(mode, label))
-            label += 1
-    for comp, count in enumerate(state.molecules):
-        for _ in range(count):
-            factors.append(Pair(comp, (label, label + 1)))
-            label += 2
-    weight = math.factorial(state.constituents) * normalization_constant(state)
-    return FormalProduct(weight, tuple(factors))
 
 
 def labeled_product_weight(state: OccupationState) -> float:
@@ -240,22 +223,11 @@ def _mode_of(factor: FormalFactor) -> int:
     return factor.mode if isinstance(factor, Atom) else factor.index
 
 
-def _slot_of(factor: FormalFactor) -> Slot:
-    return _s(factor.label) if isinstance(factor, Atom) else _c(*factor.labels)
-
-
-def _slot_codes(slot: Slot, n: int, n_modes: int, n_composites: int) -> list[int]:
-    """The occupation code of each factor that can fill ``slot`` in a labeled
-    product over labels 1..n, by mode or composite.
-
-    A product's code is the sum of its factors' codes: one base-(n+1) digit
-    per atom mode, then one per composite, so it names the product's
-    occupation state.
-    """
-    base = n + 1
-    if slot[0] == "S":
-        return [base**mode for mode in range(n_modes)]
-    return [base ** (n_modes + a) for a in range(n_composites)]
+def _digits(n: int, n_modes: int, n_composites: int) -> list[int]:
+    """The occupation code of one atom in each mode, then of one pair in each
+    composite, over labels 1..n: one base-(n+1) digit each.  A product's
+    code, the sum of its factors' codes, names its occupation state."""
+    return [(n + 1) ** d for d in range(n_modes + n_composites)]
 
 
 def _match_slots(
@@ -355,7 +327,7 @@ class _Entry:
     to bra k of the other with the same amplitude.  The bra configurations
     of its left structures, in emission order, are built on first use: as
     products where an output product needs them, and as occupation codes
-    (:func:`_slot_codes`, over labels 1..n) where the sweep reads the bra.
+    (from :func:`_digits` over labels 1..n) where the sweep reads the bra.
     """
 
     matched: tuple[int, ...]
@@ -375,10 +347,12 @@ class _Entry:
 
     @cached_property
     def codes(self) -> list[int]:
+        digits = _digits(self.n, *self.sizes)
+        atoms, pairs = digits[: self.sizes[0]], digits[self.sizes[0] :]
         return [
             sum(choice)
             for slots in self.left
-            for choice in product(*(_slot_codes(slot, self.n, *self.sizes) for slot in slots))
+            for choice in product(*(atoms if kind == "S" else pairs for kind, _ in slots))
         ]
 
     def emitted(self, modes: tuple[int, ...]) -> list[Emission]:
@@ -428,7 +402,7 @@ def _plan(term: TermId, layout: Layout, memo: _Memo) -> list[_Entry]:
 def _emissions(
     term: TermId, prod: FormalProduct, memo: _Memo
 ) -> Iterator[tuple[_Entry, list[Emission]]]:
-    """The emission core of a projected term applied to one labeled product.
+    """The emissions of a projected term applied to one labeled product.
 
     For each blueprint whose right slots match ``prod`` it yields the plan
     entry and the nonzero ``(bra position, amplitude)`` emissions of its left
@@ -449,7 +423,9 @@ def _emissions(
 
 
 class _Ket(NamedTuple):
-    """A ket's representative product, read once for every term."""
+    """A ket's representative, the identity-permutation product of its
+    expansion, read once for every term: its factors' label layout, modes
+    and occupation codes, and its total weight."""
 
     weight: float
     layout: Layout
@@ -458,12 +434,21 @@ class _Ket(NamedTuple):
     occupation: int
 
 
-def _ket(state: OccupationState, n_modes: int, n_composites: int) -> _Ket:
-    rep = representative_product(state)
-    n = state.constituents
-    modes = tuple(map(_mode_of, rep.factors))
-    codes = [_slot_codes(_slot_of(f), n, n_modes, n_composites)[m] for f, m in zip(rep.factors, modes)]
-    return _Ket(rep.weight, tuple(map(_labels_of, rep.factors)), modes, codes, sum(codes))
+def _ket(state: OccupationState, digits: list[int]) -> _Ket:
+    """``state``'s representative, read from its counts and ``digits``
+    (:func:`_digits` over its labels).  Atoms take labels 1.. in mode order,
+    then each pair two consecutive labels; the weight is N! times the
+    normalization constant, the sum of the expansion's weights."""
+    n_modes, n = len(state.atoms), state.constituents
+    atoms = [m for m, count in enumerate(state.atoms) for _ in range(count)]
+    pairs = [a for a, count in enumerate(state.molecules) for _ in range(count)]
+    codes = [digits[m] for m in atoms] + [digits[n_modes + a] for a in pairs]
+    a = len(atoms)
+    layout = tuple((lab,) for lab in range(1, a + 1)) + tuple(
+        (lab, lab + 1) for lab in range(a + 1, n, 2)
+    )
+    weight = math.factorial(n) * normalization_constant(state)
+    return _Ket(weight, layout, tuple(atoms + pairs), codes, sum(codes))
 
 
 def _oracle_column(
@@ -476,7 +461,7 @@ def _oracle_column(
     keyed by the bras i it adds to; every other entry is +0.0.
 
     Each emission is read into its bra through the occupation code (see
-    :func:`_slot_codes`): the ket's, minus the matched factors', plus the
+    :func:`_digits`): the ket's, minus the matched factors', plus the
     emitted bra's from the plan, looked up in ``index``
     ``occupation -> (i, w_i)``, and added there, starting from 0.0, as
     ``w_i * (weight * amp)``.
@@ -609,7 +594,8 @@ def sweep_columns(
     for n in numbers:
         basis, lo = bases[n], starts[n]
         names = [str(s) for s in basis.states]
-        kets = [_ket(s, space.n_modes, spectrum.n_composites) for s in basis.states]
+        digits = _digits(n, space.n_modes, spectrum.n_composites)
+        kets = [_ket(s, digits) for s in basis.states]
         index = {
             ket.occupation: (i, labeled_product_weight(s))
             for i, (ket, s) in enumerate(zip(kets, basis.states))

@@ -30,7 +30,6 @@ from composite_bosons.oracle import (
     expand_basis_state,
     labeled_product_weight,
     oracle_matrix_element,
-    representative_product,
     verify_sectors,
 )
 
@@ -47,6 +46,12 @@ def two_site():
 def random_model():
     space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
     return space, space.solve_composites(LowestK(2))
+
+
+@pytest.fixture(scope="module")
+def ring6():
+    space = build_ring_model(6, 1.0, -20.0)
+    return space, space.solve_composites(BelowEdge())
 
 
 def test_expand_single_atom():
@@ -312,9 +317,15 @@ def test_verify_sectors_columns_are_the_collected_ones(model, request):
         index = {
             (s.atoms, s.molecules): (i, labeled_product_weight(s)) for i, s in enumerate(states)
         }
+        digits = oracle._digits(n, space.n_modes, spectrum.n_composites)
         for term in TermId:
             for ket in states:
-                rep = FormalState((representative_product(ket),))
+                read = oracle._ket(ket, digits)
+                factors = tuple(
+                    Atom(m, *labs) if len(labs) == 1 else Pair(m, labs)
+                    for labs, m in zip(read.layout, read.modes)
+                )
+                rep = FormalState((FormalProduct(read.weight, factors),))
                 column = [0.0] * len(states)
                 for p in apply_projected_term(term, rep, space, spectrum).products:
                     atoms, molecules = [0] * space.n_modes, [0] * spectrum.n_composites
@@ -469,11 +480,9 @@ def test_product_codes_name_occupations(n, n_modes, n_composites):
     # the sum of per-factor codes: codes and occupation numbers correspond one
     # to one, so distinct occupations get distinct codes
     products = list(_labeled_products(n, n_modes, n_composites))
+    digits = oracle._digits(n, n_modes, n_composites)
     codes = [
-        sum(
-            oracle._slot_codes(oracle._slot_of(f), n, n_modes, n_composites)[oracle._mode_of(f)]
-            for f in p.factors
-        )
+        sum(digits[f.mode] if isinstance(f, Atom) else digits[n_modes + f.index] for f in p.factors)
         for p in products
     ]
     occupation = {}
@@ -526,23 +535,28 @@ def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch)
     assert verify_sectors(space, spectrum, range(0, 4))["max_abs_diff"] > 1e-10
 
 
-def test_closed_forms_match_expansion(random_model):
+def test_closed_forms_match_expansion(random_model, ring6):
     # the sweep reads each ket's representative and each bra's weight from the
-    # occupation; the expansion is the reference.  Its weights are sums of up
-    # to N! copies of the normalization constant, so they carry a few ulps of
-    # summation roundoff (14.5 ulps at most here), hence rel=1e-14
-    space, spectrum = random_model
-    for n in range(0, 7):
-        for state in enumerate_sector(n, space.n_modes, spectrum.n_composites).states:
-            products = expand_basis_state(state).products
-            rep = representative_product(state)
-            assert rep.factors == products[0].factors, state
-            weight = labeled_product_weight(state)
-            for p in products:
-                assert p.weight == pytest.approx(weight, rel=1e-14, abs=0.0), state
-            total = math.factorial(n) * normalization_constant(state)
-            assert rep.weight == total
-            assert sum(p.weight for p in products) == pytest.approx(total, rel=1e-14, abs=0.0)
+    # occupation; the expansion is the reference, its first product the
+    # identity permutation.  Its weights are sums of up to N! copies of the
+    # normalization constant, so they carry a few ulps of summation roundoff
+    # (14.5 ulps at most here), hence rel=1e-14
+    for (space, spectrum), max_n in [(random_model, 6), (ring6, 4)]:
+        for n in range(0, max_n + 1):
+            digits = oracle._digits(n, space.n_modes, spectrum.n_composites)
+            for state in enumerate_sector(n, space.n_modes, spectrum.n_composites).states:
+                products = expand_basis_state(state).products
+                ket = oracle._ket(state, digits)
+                assert ket.layout == tuple(map(oracle._labels_of, products[0].factors)), state
+                assert ket.modes == tuple(map(oracle._mode_of, products[0].factors)), state
+                counts = state.atoms + state.molecules
+                assert ket.occupation == sum(c * d for c, d in zip(counts, digits)), state
+                weight = labeled_product_weight(state)
+                for p in products:
+                    assert p.weight == pytest.approx(weight, rel=1e-14, abs=0.0), state
+                total = math.factorial(n) * normalization_constant(state)
+                assert ket.weight == total
+                assert sum(p.weight for p in products) == pytest.approx(total, rel=1e-14, abs=0.0)
 
 
 def test_verify_sectors_full_sweep_n6(random_model):
