@@ -1,8 +1,9 @@
 """Command-line front end: solve-pair, spectrum, verify, export-matrix.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure,
-3 verification failure.  All numeric JSON output uses 17 significant
-digits so identical runs produce byte-identical artifacts.
+Exit codes: 0 success, 1 configuration or usage error (running out of
+memory included), 2 numerical failure, 3 verification failure.  All numeric
+JSON output uses 17 significant digits so identical runs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -487,6 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the failed allocation
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'an allocation failed'}\n")
         return EXIT_CONFIG
     raise AssertionError("unreachable")
 

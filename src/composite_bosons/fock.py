@@ -3,7 +3,8 @@
 States count bosons in ``M`` unbound (atom) modes and ``A`` composite
 (molecule) modes.  The constituent number N = sum(atoms) + 2*sum(molecules)
 is conserved by every Hamiltonian term, so Fock space splits into exact
-fixed-N sectors which this module enumerates deterministically.
+fixed-N sectors which this module enumerates deterministically.  A sector
+basis is its array of occupation counts, built and checked as a whole.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, product
-from operator import sub
-from typing import Iterable, Iterator, Literal, Mapping
+from itertools import chain, combinations_with_replacement, product
+from typing import Iterable, Literal, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,10 +42,6 @@ class OccupationState:
                 f"constituent number {self.constituents} exceeds the supported "
                 f"maximum {MAX_CONSTITUENTS}"
             )
-
-    @property
-    def n_atoms(self) -> int:
-        return sum(self.atoms)
 
     @property
     def n_molecules(self) -> int:
@@ -102,27 +98,25 @@ def apply_ladder(
     return coeff, OccupationState(state.atoms, new_counts)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every way to write ``total`` as ``parts`` nonnegative counts, by stars
-    and bars: bar k stands after the first e_k stars, 0 <= e_1 <= ... <=
-    e_{parts-1} <= total, and the counts are the gaps between the bars."""
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way to write ``total`` as ``parts`` nonnegative counts, one per
+    row, descending lexicographically: the gaps of the stars-and-bars bars
+    0 <= e_1 <= ... <= e_{parts-1} <= total, which ascend with the bars."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for bars in combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, (*bars, total), (0, *bars)))
+        return np.zeros((int(total == 0), 0), dtype=np.int64)
+    rows = math.comb(total + parts - 1, total)
+    bars = chain.from_iterable(combinations_with_replacement(range(total + 1), parts - 1))
+    edges = np.full((rows, parts + 1), total, dtype=np.int64)
+    edges[:, 0] = 0
+    edges[:, 1:-1] = np.fromiter(bars, np.int64, rows * (parts - 1)).reshape(rows, parts - 1)
+    return np.diff(edges)[::-1]
 
 
 def sector_dimension(constituents: int, n_atom_modes: int, n_molecule_modes: int) -> int:
     """Closed-form sector size: sum over molecule counts of two multiset counts."""
 
     def multiset(modes: int, n: int) -> int:
-        if n == 0:
-            return 1
-        if modes == 0:
-            return 0
-        return math.comb(n + modes - 1, n)
+        return math.comb(n + modes - 1, n) if modes else int(n == 0)
 
     return sum(
         multiset(n_atom_modes, constituents - 2 * n_m) * multiset(n_molecule_modes, n_m)
@@ -130,30 +124,42 @@ def sector_dimension(constituents: int, n_atom_modes: int, n_molecule_modes: int
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Ordered list of occupation states, usually one fixed-N sector.
-
-    ``constituents`` is None for mixed unions (used only by conservation
-    checks).  States are ordered by descending (atoms, molecules) tuples.
+    """Ordered occupation states, usually one fixed-N sector: the rows of the
+    read-only ``(dim, M + A)`` int64 array ``occupations``, atom counts first,
+    checked as a whole (no negative count, at most ``MAX_CONSTITUENTS`` and,
+    unless None, ``constituents`` constituents a row, no repeated row).  A
+    sector's rows descend as (atoms, molecules) tuples; :attr:`states` makes
+    one :class:`OccupationState` per row only when first read.
     """
 
-    states: tuple[OccupationState, ...]
+    occupations: np.ndarray
     n_atom_modes: int
     n_molecule_modes: int
     constituents: int | None
 
     def __post_init__(self) -> None:
-        if len(set(self.states)) != len(self.states):
+        occ, m = np.asarray(self.occupations, dtype=np.int64), self.n_atom_modes
+        if occ.ndim != 2 or occ.shape[1] != m + self.n_molecule_modes:
+            raise ValueError(f"occupation rows of shape {occ.shape[1:]} have wrong mode counts")
+        occ.setflags(write=False)
+        object.__setattr__(self, "occupations", occ)
+        if np.any(occ < 0):
+            raise ValueError("occupation counts must be nonnegative")
+        n = occ[:, :m].sum(axis=1) + 2 * occ[:, m:].sum(axis=1)
+        if np.any(n > MAX_CONSTITUENTS):
+            raise ValueError(f"constituent number {n.max()} exceeds {MAX_CONSTITUENTS}")
+        if self.constituents is not None and np.any(n != self.constituents):
+            row = np.flatnonzero(n != self.constituents)[0]
+            raise ValueError(f"row {row} has {n[row]} constituents, expected {self.constituents}")
+        if lexicographic_ranks(occ)[1] != self.dim:
             raise ValueError("sector basis contains duplicate states")
-        for s in self.states:
-            if len(s.atoms) != self.n_atom_modes or len(s.molecules) != self.n_molecule_modes:
-                raise ValueError(f"state {s} has wrong mode counts for this basis")
-            if self.constituents is not None and s.constituents != self.constituents:
-                raise ValueError(
-                    f"state {s} has constituent number {s.constituents}, "
-                    f"expected {self.constituents}"
-                )
+
+    @cached_property
+    def states(self) -> tuple[OccupationState, ...]:
+        m = self.n_atom_modes
+        return tuple(OccupationState(tuple(r[:m]), tuple(r[m:])) for r in self.occupations.tolist())
 
     @cached_property
     def _index(self) -> dict[OccupationState, int]:
@@ -162,17 +168,9 @@ class SectorBasis:
     def position(self, state: OccupationState) -> int | None:
         return self._index.get(state)
 
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        """The states as a ``(dim, M + A)`` int64 array, atom counts first."""
-        out = np.array([s.atoms + s.molecules for s in self.states], dtype=np.int64)
-        out = out.reshape(self.dim, self.n_atom_modes + self.n_molecule_modes)
-        out.setflags(write=False)
-        return out
-
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occupations.shape[0]
 
     @cached_property
     def annihilator_ladders(self) -> "AnnihilatorLadders":
@@ -181,7 +179,7 @@ class SectorBasis:
 
     @staticmethod
     def union(*bases: "SectorBasis") -> "SectorBasis":
-        """One basis of the states of ``bases``, in the order given.
+        """One basis of the rows of ``bases``, in the order given.
 
         A run assembles all its sectors at once on their union: every term
         conserves N, so each term there is the direct sum of its sector
@@ -190,16 +188,12 @@ class SectorBasis:
         """
         if not bases:
             raise ValueError("union needs at least one basis")
-        m = bases[0].n_atom_modes
-        a = bases[0].n_molecule_modes
-        states: list[OccupationState] = []
-        for b in bases:
-            if b.n_atom_modes != m or b.n_molecule_modes != a:
-                raise ValueError("cannot union bases with different mode counts")
-            states.extend(b.states)
+        m, a = bases[0].n_atom_modes, bases[0].n_molecule_modes
+        if any(b.n_atom_modes != m or b.n_molecule_modes != a for b in bases):
+            raise ValueError("cannot union bases with different mode counts")
         ns = {b.constituents for b in bases}
         constituents = ns.pop() if len(ns) == 1 else None
-        return SectorBasis(tuple(states), m, a, constituents)
+        return SectorBasis(np.concatenate([b.occupations for b in bases]), m, a, constituents)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +283,7 @@ def lexicographic_ranks(rows: np.ndarray) -> tuple[np.ndarray, int]:
         return np.zeros(0, dtype=np.int64), 0
     keys, key, span = [], np.zeros(n, dtype=np.int64), 1
     for column, radix in zip(rows.T, (rows.max(axis=0) + 1).tolist()):
-        if span * radix > np.iinfo(np.int64).max:
+        if span * radix >= 2**63:  # past the int64 maximum
             keys.append(key)
             key, span = np.zeros(n, dtype=np.int64), 1
         key = key * radix + column
@@ -332,25 +326,28 @@ def enumerate_sector(
     n_atom_modes: int,
     n_molecule_modes: int,
 ) -> SectorBasis:
-    """All occupation states with the given constituent number.
+    """All occupation states with the given constituent number, as
+    descending (atoms, molecules) rows.
 
-    N = 0 yields the single vacuum state.
+    The atom rows are the compositions of N over the atom modes and one
+    slack part, 2 n_m, kept where that is even; each is followed by the
+    molecule rows of its n_m.  N = 0 yields the single vacuum state.
     """
-    if constituents < 0:
-        raise ValueError("constituent number must be nonnegative")
-    if constituents > MAX_CONSTITUENTS:
-        raise ValueError(f"constituent number {constituents} exceeds {MAX_CONSTITUENTS}")
-    counts = [
-        pair
-        for n_m in range(constituents // 2 + 1)
-        for pair in product(
-            _compositions(constituents - 2 * n_m, n_atom_modes),
-            _compositions(n_m, n_molecule_modes),
-        )
-    ]
-    counts.sort(reverse=True)
-    states = tuple(OccupationState(atoms, molecules) for atoms, molecules in counts)
-    return SectorBasis(states, n_atom_modes, n_molecule_modes, constituents)
+    if not 0 <= constituents <= MAX_CONSTITUENTS:
+        raise ValueError(f"constituent number {constituents} is outside 0..{MAX_CONSTITUENTS}")
+    atoms = _compositions(constituents, n_atom_modes + 1)
+    atoms = atoms[atoms[:, -1] % 2 == 0]
+    atoms, n_m = atoms[:, :-1], atoms[:, -1] // 2
+    molecules = [_compositions(k, n_molecule_modes) for k in range(constituents // 2 + 1)]
+    sizes = np.array([len(block) for block in molecules])
+    repeats = sizes[n_m]
+    # the k-th row after atom row i is molecule row k of block n_m[i]
+    offsets = (np.cumsum(sizes) - sizes)[n_m] - (np.cumsum(repeats) - repeats)
+    picks = np.arange(repeats.sum()) + np.repeat(offsets, repeats)
+    occupations = np.empty((picks.size, n_atom_modes + n_molecule_modes), dtype=np.int64)
+    occupations[:, :n_atom_modes] = np.repeat(atoms, repeats, axis=0)
+    occupations[:, n_atom_modes:] = np.concatenate(molecules)[picks]
+    return SectorBasis(occupations, n_atom_modes, n_molecule_modes, constituents)
 
 
 def truncated_states(

@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ from .algebra import ElementEngine  # noqa: F401
 # Not called here, kept importable: perfbench wraps it to count ladder calls.
 from .fock import SectorBasis, Species, apply_ladder  # noqa: F401
 from .modespace import CompositeSpectrum, ModeSpace
-from .numerics import SparseMatrix
+from .numerics import SparseMatrix, row_sorted_csr
 
 HERMITICITY_TOL = 1e-12
 
@@ -265,20 +266,17 @@ def assemble_hamiltonian(
 ) -> SparseHamiltonian:
     """Build all seven term blocks and their sum on one sector basis.
 
-    Hermiticity of the sum and the bitwise adjoint pairing ``CSS == SSC^T``
-    are asserted, not assumed; a Hermiticity failure names the worst entries
-    by their indices in ``basis``, which on a union basis are union indices.
+    The blocks are canonical, so the total is their CSR sum, added left to
+    right in :class:`TermId` order and canonicalized once.  Hermiticity of
+    the sum and the bitwise adjoint pairing ``CSS == SSC^T`` are asserted,
+    not assumed; a Hermiticity failure names the worst entries by their
+    indices in ``basis``, which on a union basis are union indices.
     """
     if tensors is None:
         tensors = coefficient_tensors(space, spectrum)
     terms = {term: build_term(term, basis, space, spectrum, tensors) for term in TermId}
-    blocks = [terms[term] for term in TermId]
-    total = SparseMatrix.from_triples(
-        basis.dim,
-        np.concatenate([b.rows for b in blocks]),
-        np.concatenate([b.cols for b in blocks]),
-        np.concatenate([b.vals for b in blocks]),
-    )
+    blocks = (row_sorted_csr(b.rows, b.cols, b.vals, (basis.dim,) * 2) for b in terms.values())
+    total = SparseMatrix.from_csr(reduce(operator.add, blocks))
     asym = total.max_abs_asymmetry()
     if asym > HERMITICITY_TOL:
         raise HermiticityError(
@@ -298,9 +296,9 @@ def split_sectors(ham: SparseHamiltonian, bases: Sequence[SectorBasis]) -> list[
     ``ham.basis`` must be ``SectorBasis.union(*bases)``.  Each sector's term
     blocks and total are diagonal slices of ``ham``'s, bitwise equal to
     :func:`assemble_hamiltonian` on the sector itself: no term couples two
-    sectors, the total merges the terms in the same order, and the drop
-    only pairs entries within one sector.  The slices are copies, so
-    ``ham`` can be freed once they are taken.
+    sectors, each total entry sums the same term entries in the same order,
+    and the drop only pairs entries within one sector.  The slices are
+    copies, so ``ham`` can be freed once they are taken.
     """
     bounds = np.cumsum([0, *(basis.dim for basis in bases)]).tolist()
     if bounds[-1] != ham.basis.dim:

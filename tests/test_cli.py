@@ -261,6 +261,35 @@ def test_verify_failure_keeps_earlier_report(tmp_path, monkeypatch, capsys, kind
     assert [p.name for p in out.iterdir()] == ["verification.json"]
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 11.9 GiB for an array with shape (200, 200, 200, 200)")
+
+
+def _sweep_out_of_memory(space, spectrum, sectors):
+    yield Column("SS", 0, ["a", "b"], "a", [0], [1.0], [1.0], [0.0])
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("command", ["solve-pair", "verify"])
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys, command):
+    cfg = write_config(tmp_path, TWO_SITE)
+    out = tmp_path / "out"
+    if command == "solve-pair":
+        monkeypatch.setattr(cli, "build_mode_space", _out_of_memory)
+        want = "error: out of memory: Unable to allocate 11.9 GiB"
+    else:
+        monkeypatch.setattr(cli, "sweep_columns", _sweep_out_of_memory)
+        want = "error: out of memory: an allocation failed"
+    assert cli.main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(want) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    # verify had begun its report beside verification.json; it is removed
+    assert out.is_dir() == (command == "verify")
+    assert not list(out.glob(".verification.json.*.tmp"))
+    assert not (out / "verification.json").exists()
+
+
 def test_verify_memory_stays_below_half_the_report(tmp_path):
     # the rows are written as the sweep computes them, so the traced peak
     # does not grow with the report (a buffered report peaks at about 4x it)

@@ -67,10 +67,11 @@ def _recursive_compositions(total, parts):
 def test_compositions_match_the_recursive_generator():
     for parts in range(9):
         for total in range(7):
-            got = list(fock._compositions(total, parts))
-            want = list(_recursive_compositions(total, parts))
-            assert len(got) == len(set(got)), (total, parts)
-            assert sorted(got) == sorted(want), (total, parts)
+            rows = fock._compositions(total, parts)
+            assert rows.dtype == np.int64 and rows.shape[1:] == (parts,)
+            # both list the compositions descending
+            got = [tuple(row) for row in rows.tolist()]
+            assert got == list(_recursive_compositions(total, parts)), (total, parts)
 
 
 def test_sectors_match_the_recursive_enumeration():
@@ -85,8 +86,11 @@ def test_sectors_match_the_recursive_enumeration():
                     for molecules in _recursive_compositions(n_m, a)
                 ]
                 want.sort(reverse=True)
-                got = enumerate_sector(n, m, a).states
-                assert [(s.atoms, s.molecules) for s in got] == want, (n, m, a)
+                basis = enumerate_sector(n, m, a)
+                assert "states" not in basis.__dict__  # built from the rows when read
+                rows = [tuple(row) for row in basis.occupations.tolist()]
+                assert rows == [atoms + molecules for atoms, molecules in want], (n, m, a)
+                assert [(s.atoms, s.molecules) for s in basis.states] == want, (n, m, a)
 
 
 def test_normalization_worked_values():
@@ -149,6 +153,9 @@ def test_modeless_state_is_the_vacuum():
 def test_constituent_guard():
     with pytest.raises(ValueError, match="exceeds"):
         OccupationState((65,), ())
+    for n in (-1, 65):
+        with pytest.raises(ValueError, match=f"constituent number {n} is outside 0..64"):
+            enumerate_sector(n, 2, 1)
 
 
 def test_same_mode_commutator_is_identity_below_cap():
@@ -197,12 +204,18 @@ def test_cross_mode_and_cross_species_commutators_vanish():
 
 
 def test_union_basis():
-    b2 = enumerate_sector(2, 2, 1)
-    b3 = enumerate_sector(3, 2, 1)
+    b1, b2, b3 = (enumerate_sector(n, 2, 1) for n in (1, 2, 3))
     u = SectorBasis.union(b2, b3)
     assert u.constituents is None
     assert u.dim == b2.dim + b3.dim
     assert u.position(b3.states[0]) == b2.dim
+    # the rows are kept in the order given; a repeated sector is a duplicate
+    u = SectorBasis.union(b3, b1, b2)
+    want = np.concatenate([b3.occupations, b1.occupations, b2.occupations])
+    assert np.array_equal(u.occupations, want)
+    assert u.states == b3.states + b1.states + b2.states
+    with pytest.raises(ValueError, match="duplicate"):
+        SectorBasis.union(b1, b2, b1)
 
 
 def test_occupations_rows_are_states():
@@ -215,9 +228,30 @@ def test_occupations_rows_are_states():
 
 
 def test_duplicate_states_rejected():
-    s = OccupationState((1,), (0,))
     with pytest.raises(ValueError, match="duplicate"):
-        SectorBasis((s, s), 1, 1, None)
+        SectorBasis(np.array([[1, 0], [1, 0]]), 1, 1, None)
+
+
+@pytest.mark.parametrize(
+    "rows, constituents, match",
+    [
+        ([[2, 0], [-1, 1]], None, "nonnegative"),
+        ([[2, 0, 0], [0, 1, 0]], None, "wrong mode counts"),
+        ([[2], [0]], None, "wrong mode counts"),
+        ([[2, 0], [1, 1]], 2, "row 1 has 3 constituents, expected 2"),
+        ([[0, 33]], None, "exceeds"),
+    ],
+    ids=["negative", "too-wide", "too-narrow", "constituents", "too-many"],
+)
+def test_basis_rows_are_checked(rows, constituents, match):
+    with pytest.raises(ValueError, match=match):
+        SectorBasis(np.array(rows), 1, 1, constituents)
+
+
+def test_basis_occupations_are_read_only():
+    occ = enumerate_sector(2, 2, 1).occupations
+    with pytest.raises(ValueError, match="read-only"):
+        occ[0, 0] = 5
 
 
 def _unique_ranks(rows):

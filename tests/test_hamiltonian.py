@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -310,6 +312,40 @@ def test_split_union_equals_per_sector_assembly(space, policy, n_max):
         _assert_same_storage(got.total, want.total, (n, "total"))
 
 
+def test_spectrum_assembly_builds_no_states():
+    space = build_ring_model(6, 1.0, -20.0)
+    spectrum = space.solve_composites(BelowEdge())
+    bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(5)]
+    union = SectorBasis.union(*bases)
+    split_sectors(assemble_hamiltonian(union, space, spectrum), bases)
+    assert all("states" not in basis.__dict__ for basis in (union, *bases))
+
+
+@pytest.mark.parametrize(
+    "space, policy, n_comp",
+    [
+        (build_ring_model(6, 1.0, -20.0), BelowEdge(), 6),
+        (build_ring_model(8, 1.0, -20.0), LowestK(1), 1),
+        (random_mode_space(3, seed=20240, attraction=(40.0, 55.0)), LowestK(2), 2),
+    ],
+    ids=["ring6", "ring8", "random3"],
+)
+def test_two_constituent_spectrum_closed_form(space, policy, n_comp):
+    # N=2 holds the atom pairs, where the total is the pair Hamiltonian, and
+    # one composite C_a per bound state E_a.  C_a and the pair eigenstate
+    # phi_a span a block [[E_a, E_a], [E_a, E_a]] decoupled from the rest,
+    # so E_a splits into 2 E_a and 0.
+    spectrum = space.solve_composites(policy)
+    assert spectrum.n_composites == n_comp
+    pair = np.linalg.eigvalsh(space.pair_hamiltonian().mat)
+    assert np.allclose(pair[:n_comp], spectrum.energies, rtol=0, atol=1e-10)
+    want = np.sort(np.concatenate([pair[n_comp:], 2 * pair[:n_comp], np.zeros(n_comp)]))
+    basis = enumerate_sector(2, space.n_modes, n_comp)
+    got = np.linalg.eigvalsh(assemble_hamiltonian(basis, space, spectrum).total.to_dense())
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_split_needs_the_union_of_the_sectors(random_model):
     space, spectrum = random_model
     bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(3)]
@@ -551,8 +587,6 @@ def test_blocks_are_bitwise_the_kronecker_form():
         ham = assemble_hamiltonian(basis, space, spectrum, tensors)
         for term in TermId:
             _assert_bitwise(ham.terms[term], want[term], (name, basis.dim, term))
-        total = SparseMatrix.from_triples(
-            basis.dim,
-            *(np.concatenate([getattr(want[t], a) for t in TermId]) for a in ("rows", "cols", "vals")),
-        )
+        # the total is the CSR sum of the blocks, added left to right
+        total = SparseMatrix.from_csr(reduce(operator.add, (want[t].to_csr() for t in TermId)))
         _assert_bitwise(ham.total, total, (name, basis.dim, "total"))
