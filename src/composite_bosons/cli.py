@@ -140,28 +140,6 @@ class _RowFormatter:
         return ",\n".join(pieces)
 
 
-def _write_report(write: Callable[[str], object], report: dict) -> None:
-    """Write ``report`` in :func:`dump_json`'s layout, and a newline.
-
-    ``report["checks"]`` holds the text of the rows, in chunks of one or
-    more rows joined by ``",\n"``; each chunk is written as it comes, and
-    the members after it are formatted only then, so a summary the chunks
-    fill in as they run is written complete.
-    """
-    for n, (key, value) in enumerate(report.items()):
-        write(f"{',' if n else '{'}\n  {_quote(key)}: ")
-        if key == "checks":
-            opening = "[\n"
-            for chunk in value:
-                write(opening)
-                write(chunk)
-                opening = ",\n"
-            write("[]" if opening == "[\n" else "\n  ]")
-        else:
-            write(dump_json(value, 1))
-    write("\n}\n")
-
-
 def _write_verification(
     write: Callable[[str], object], columns: Iterable[Column]
 ) -> tuple[dict, float]:
@@ -181,21 +159,21 @@ def _write_verification(
     summary = {"max_abs_diff": 0.0, "pairs_checked": 0}
     stored_max = 0.0
     format_rows = _RowFormatter()
-
-    def rows() -> Iterator[str]:
-        nonlocal stored_max
-        for col in columns:
-            summary["max_abs_diff"] = max([summary["max_abs_diff"], *col.diff])
-            summary["pairs_checked"] += len(col.bras)
-            stored_max = max([stored_max, *(d for sq, d in zip(col.sq, col.diff) if sq != 0.0)])
-            yield format_rows(col)
-
-    _write_report(write, {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "conventions": TERM_READING,
-        "checks": rows(),
-        "summary": summary,
-    })
+    write(
+        f'{{\n  "schema_version": {dump_json(REPORT_SCHEMA_VERSION, 1)},\n'
+        f'  "conventions": {dump_json(TERM_READING, 1)},\n  "checks": '
+    )
+    opening = "[\n"
+    for col in columns:
+        summary["max_abs_diff"] = max([summary["max_abs_diff"], *col.diff])
+        summary["pairs_checked"] += len(col.bras)
+        stored_max = max([stored_max, *(d for sq, d in zip(col.sq, col.diff) if sq != 0.0)])
+        write(opening)
+        write(format_rows(col))
+        opening = ",\n"
+    write("[]" if opening == "[\n" else "\n  ]")
+    # the summary is formatted only once every column has filled it in
+    write(f',\n  "summary": {dump_json(summary, 1)}\n}}\n')
     return summary, stored_max
 
 

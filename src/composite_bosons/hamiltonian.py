@@ -48,8 +48,9 @@ import scipy.sparse as sp
 
 # Unused here, kept importable: perfbench's layer probe reports four algebra metrics by it.
 from .algebra import ElementEngine  # noqa: F401
+from .fock import AnnihilatorLadder, SectorBasis, Species
 # Not called here, kept importable: perfbench wraps it to count ladder calls.
-from .fock import SectorBasis, Species, apply_ladder  # noqa: F401
+from .fock import apply_ladder  # noqa: F401
 from .modespace import CompositeSpectrum, ModeSpace
 from .numerics import SparseMatrix, row_sorted_csr
 
@@ -172,7 +173,8 @@ def _product(term: TermId, basis: SectorBasis, tensors: CoefficientTensors) -> S
     """``pref * L^T (C (x) I) R`` of one term with a row in ``_GROUPS``.
 
     ``(C (x) I) R`` is formed as ``C`` times the ket ladder with its images
-    carried in the columns, then its rows are re-indexed to (g, image).  Its
+    carried in the columns, then its rows are re-indexed to (g, image)
+    straight into CSR, with no coordinate copy (:func:`_by_image`).  Its
     entries sum over h ascending, as the Kronecker product does, and each
     block entry sums over g ascending along a row of ``by_state``, so the
     block is bitwise the Kronecker form's.  No product is as wide as
@@ -185,13 +187,22 @@ def _product(term: TermId, basis: SectorBasis, tensors: CoefficientTensors) -> S
     if not (bra.by_state.nnz and ket.by_state.nnz):
         return SparseMatrix.zero(basis.dim)
     coeffs = sp.csr_matrix(TERM_PREFACTOR[term] * tensors[term].reshape(bra.size, ket.size))
-    applied = coeffs @ ket.by_group
+    # the re-indexed product is freed before the block is canonicalized
+    return SparseMatrix.from_csr(
+        bra.by_state @ _by_image(coeffs @ ket.by_group, ket, ladders.n_images)
+    )
+
+
+def _by_image(applied: sp.csr_matrix, ket: AnnihilatorLadder, n_images: int) -> sp.csr_matrix:
+    """``applied``, with rows g and the ket's (image, state) pairs as columns,
+    re-indexed to rows (g, image) and columns state.  The pairs ascend, so
+    with each row sorted the entries come in row-major order."""
+    applied.sort_indices()
     pairs = applied.indices
-    rows = np.repeat(np.arange(bra.size) * ladders.n_images, np.diff(applied.indptr))
+    rows = np.repeat(np.arange(applied.shape[0]) * n_images, np.diff(applied.indptr))
     rows += ket.pair_images[pairs]
-    shape = (bra.size * ladders.n_images, basis.dim)
-    applied = sp.csr_matrix((applied.data, (rows, ket.pair_states[pairs])), shape=shape)
-    return SparseMatrix.from_csr(bra.by_state @ applied)
+    shape = (applied.shape[0] * n_images, ket.by_state.shape[0])
+    return row_sorted_csr(rows, ket.pair_states[pairs], applied.data, shape)
 
 
 def _check_consistent(basis: SectorBasis, space: ModeSpace, spectrum: CompositeSpectrum) -> None:
@@ -275,8 +286,7 @@ def assemble_hamiltonian(
     if tensors is None:
         tensors = coefficient_tensors(space, spectrum)
     terms = {term: build_term(term, basis, space, spectrum, tensors) for term in TermId}
-    blocks = (row_sorted_csr(b.rows, b.cols, b.vals, (basis.dim,) * 2) for b in terms.values())
-    total = SparseMatrix.from_csr(reduce(operator.add, blocks))
+    total = SparseMatrix.from_csr(reduce(operator.add, (b.to_csr() for b in terms.values())))
     asym = total.max_abs_asymmetry()
     if asym > HERMITICITY_TOL:
         raise HermiticityError(
@@ -284,7 +294,7 @@ def assemble_hamiltonian(
             f"worst entries: {_worst_asymmetry_entries(total)}"
         )
     css, ssc_t = terms[TermId.CSS], terms[TermId.SSC].transpose()
-    pairs = ((css.rows, ssc_t.rows), (css.cols, ssc_t.cols), (css.vals, ssc_t.vals))
+    pairs = ((css.indptr, ssc_t.indptr), (css.indices, ssc_t.indices), (css.data, ssc_t.data))
     if not all(np.array_equal(x, y) for x, y in pairs):
         raise HermiticityError("rearrangement blocks are not adjoint: CSS differs from SSC^T")
     return SparseHamiltonian(basis, terms, total)

@@ -4,6 +4,10 @@ All solvers share the same output conventions so that repeated runs give
 bit-identical results: eigenvalues ascending, each eigenvector's first
 component of magnitude above 1e-10 made positive, and degenerate groups
 ordered lexicographically after the sign fix.
+
+Sparse matrices are stored as their canonical CSR (:class:`SparseMatrix`),
+the arrays scipy's products and the Krylov solver read, so handing one to
+scipy copies nothing.
 """
 
 from __future__ import annotations
@@ -97,41 +101,24 @@ def row_sorted_csr(rows, cols, vals, shape: tuple[int, int]) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Square sparse matrix in canonical coordinate storage.
+    """Square sparse matrix stored as its canonical CSR.
 
-    Triples are stored row-major (row, then column) with duplicates summed.
-    An entry below ``DROP_TOL`` in magnitude is removed unless its transpose
-    partner is stored at or above it, so the drop never splits a symmetric
-    pair.  Two equal matrices always carry identical storage.  The arrays
-    are read-only.
+    ``indptr``, ``indices`` and ``data`` are read-only and share one index
+    dtype, the one scipy picks (int32 whenever it fits).  Each row lists
+    its columns ascending, with duplicates summed.  An entry below
+    ``DROP_TOL`` in magnitude is removed unless its transpose partner is
+    stored at or above it, so the drop never splits a symmetric pair.  Two
+    equal matrices always carry identical storage.
     """
 
     dim: int
-    rows: NDArray[np.int64]
-    cols: NDArray[np.int64]
-    vals: NDArray[np.float64]
+    indptr: NDArray[np.integer]
+    indices: NDArray[np.integer]
+    data: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        for arr in (self.rows, self.cols, self.vals):
+        for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
-
-    @staticmethod
-    def _dropped(dim: int, rows, cols, vals) -> "SparseMatrix":
-        """Apply the drop to sorted triples without duplicates."""
-        keep = np.abs(vals) >= DROP_TOL
-        small = np.flatnonzero(~keep)
-        if small.size:
-            # a small entry stays when its transpose partner is stored and
-            # kept; the partners are looked up in ascending order, which
-            # keeps the binary searches local
-            keys = rows * dim + cols
-            mirror = cols[small] * dim + rows[small]
-            order = np.argsort(mirror)
-            small, mirror = small[order], mirror[order]
-            at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-            keep[small] = (keys[at] == mirror) & keep[at]
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        return SparseMatrix(dim, rows, cols, vals)
 
     @staticmethod
     def from_triples(dim: int, rows, cols, vals) -> "SparseMatrix":
@@ -149,18 +136,34 @@ class SparseMatrix:
             uniq, start = np.unique(rows * dim + cols, return_index=True)
             rows, cols = np.divmod(uniq, dim)
             vals = np.add.reduceat(vals, start)
-        return SparseMatrix._dropped(dim, rows, cols, vals)
+        return SparseMatrix.from_csr(row_sorted_csr(rows, cols, vals, (dim, dim)))
 
     @staticmethod
     def from_csr(mat: sp.csr_matrix) -> "SparseMatrix":
         """The canonical storage of a square CSR matrix with no duplicate entries.
 
-        Equal to :meth:`from_triples` of its entries; sorts ``mat`` in place.
+        Equal to :meth:`from_triples` of its entries; sorts ``mat`` in place
+        and keeps its arrays, made read-only.
         """
         mat.sort_indices()
-        dim = mat.shape[0]
-        rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(mat.indptr))
-        return SparseMatrix._dropped(dim, rows, mat.indices.astype(np.int64), mat.data)
+        dim, indptr, indices, data = mat.shape[0], mat.indptr, mat.indices, mat.data
+        keep = np.abs(data) >= DROP_TOL
+        small = np.flatnonzero(~keep)
+        if small.size:
+            # a small entry stays when its transpose partner is stored and
+            # kept; the partners are looked up in ascending order, which
+            # keeps the binary searches local
+            rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(indptr))
+            keys = rows * dim + indices
+            mirror = indices[small].astype(np.int64) * dim + rows[small]
+            order = np.argsort(mirror)
+            small, mirror = small[order], mirror[order]
+            at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+            keep[small] = (keys[at] == mirror) & keep[at]
+            kept_before = np.concatenate(([0], np.cumsum(keep)))
+            indptr = kept_before[indptr].astype(indptr.dtype)
+            indices, data = indices[keep], data[keep]
+        return SparseMatrix(dim, indptr, indices, data)
 
     @staticmethod
     def zero(dim: int) -> "SparseMatrix":
@@ -168,44 +171,51 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return int(self.vals.size)
+        return int(self.data.size)
+
+    def _rows(self) -> NDArray[np.integer]:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.dim, dtype=self.indices.dtype), np.diff(self.indptr))
 
     def to_dense(self) -> Matrix:
         out = np.zeros((self.dim, self.dim))
-        out[self.rows, self.cols] = self.vals
+        out[self._rows(), self.indices] = self.data
         return out
 
-    @cached_property
-    def _csr(self) -> sp.csr_matrix:
-        return row_sorted_csr(self.rows, self.cols, self.vals, (self.dim, self.dim))
-
     def to_csr(self) -> sp.csr_matrix:
-        """The matrix in CSR, built once and shared by every caller."""
-        return self._csr
+        """The matrix as a scipy CSR that shares the stored arrays."""
+        csr = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
+        csr.has_canonical_format = True
+        return csr
 
     def transpose(self) -> "SparseMatrix":
-        # row-major storage sorted stably by column is the transpose's row-major
-        # order; the drop treats both halves of a pair alike, so nothing drops
-        order = np.argsort(self.cols, kind="stable")
-        return SparseMatrix(self.dim, self.cols[order], self.rows[order], self.vals[order])
+        # row-major entries sorted stably by column are the transpose's
+        # row-major order; the drop treats both halves of a pair alike, so
+        # nothing drops
+        order = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.dim)
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(self.indptr.dtype)
+        return SparseMatrix(self.dim, indptr, self._rows()[order], self.data[order])
 
     def diagonal_block(self, lo: int, hi: int) -> "SparseMatrix":
         """The block of rows and columns ``lo .. hi - 1``, re-based to ``lo``.
 
-        The rows are sorted, so the block's entries are one slice of the
-        storage, and it is already canonical.  Raises ValueError when a row
-        of the block holds an entry outside its columns.
+        The block's entries are one slice of the storage, already canonical,
+        and copied out of it.  Raises ValueError when a row of the block
+        holds an entry outside its columns.
         """
         if not 0 <= lo <= hi <= self.dim:
             raise ValueError(f"block [{lo}, {hi}) out of range for dimension {self.dim}")
-        start, stop = np.searchsorted(self.rows, (lo, hi))
-        cols = self.cols[start:stop] - lo
-        if cols.size and (cols.min() < 0 or cols.max() >= hi - lo):
+        start, stop = self.indptr[lo], self.indptr[hi]
+        indices = self.indices[start:stop] - lo
+        if indices.size and (indices.min() < 0 or indices.max() >= hi - lo):
             raise ValueError(f"rows [{lo}, {hi}) couple outside the block")
-        return SparseMatrix(hi - lo, self.rows[start:stop] - lo, cols, self.vals[start:stop].copy())
+        return SparseMatrix(
+            hi - lo, self.indptr[lo : hi + 1] - start, indices, self.data[start:stop].copy()
+        )
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
+        return float(np.max(np.abs(self.data))) if self.nnz else 0.0
 
     @cached_property
     def _asymmetry(self) -> float:
@@ -220,12 +230,12 @@ class SparseMatrix:
     def to_coordinate_csv(self) -> str:
         # each distinct value is formatted once; keyed by its bits, so -0.0
         # (printed as -0) stays apart from 0.0
-        bits, which = np.unique(self.vals.view(np.int64), return_inverse=True)
+        bits, which = np.unique(self.data.view(np.int64), return_inverse=True)
         texts = [f"{v:.17g}" for v in memoryview(bits.view(np.float64))]
         lines = ["row,col,value"]
         # memoryviews yield Python ints one at a time: formatting them skips
         # numpy's scalar formatting without whole-array lists
-        for r, c, k in zip(memoryview(self.rows), memoryview(self.cols), memoryview(which)):
+        for r, c, k in zip(memoryview(self._rows()), memoryview(self.indices), memoryview(which)):
             lines.append(f"{r},{c},{texts[k]}")
         return "\n".join(lines) + "\n"
 

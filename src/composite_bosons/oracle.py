@@ -603,8 +603,8 @@ def sweep_columns(
         for term in TermId:
             # the block stored by column: ket j's entries are one slice
             by_column = union_blocks[term].diagonal_block(lo, lo + basis.dim).transpose()
-            bounds = np.searchsorted(by_column.rows, np.arange(basis.dim + 1)).tolist()
-            stored_rows, stored = by_column.cols.tolist(), by_column.vals.tolist()
+            bounds = by_column.indptr.tolist()
+            stored_rows, stored = by_column.indices.tolist(), by_column.data.tolist()
             for j, ket in enumerate(kets):
                 column = slice(bounds[j], bounds[j + 1])
                 sq = dict(zip(stored_rows[column], stored[column]))

@@ -274,14 +274,15 @@ def test_union_basis_terms_are_direct_sums(random_model):
         got = build_term(term, union, space, spectrum, tensors)
         low = build_term(term, b2, space, spectrum, tensors)
         high = build_term(term, b3, space, spectrum, tensors)
-        assert np.array_equal(got.rows, np.concatenate([low.rows, high.rows + b2.dim])), term
-        assert np.array_equal(got.cols, np.concatenate([low.cols, high.cols + b2.dim])), term
-        assert np.array_equal(got.vals, np.concatenate([low.vals, high.vals])), term
+        indptr = np.concatenate([low.indptr, high.indptr[1:] + low.nnz])
+        assert np.array_equal(got.indptr, indptr), term
+        assert np.array_equal(got.indices, np.concatenate([low.indices, high.indices + b2.dim])), term
+        assert np.array_equal(got.data, np.concatenate([low.data, high.data])), term
 
 
 def _assert_same_storage(got: SparseMatrix, want: SparseMatrix, what) -> None:
     assert got.dim == want.dim, what
-    for a, b in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
         assert a.dtype == b.dtype, what
         assert np.array_equal(a, b), what
 
@@ -310,6 +311,40 @@ def test_split_union_equals_per_sector_assembly(space, policy, n_max):
         for term in TermId:
             _assert_same_storage(got.terms[term], want.terms[term], (n, term))
         _assert_same_storage(got.total, want.total, (n, "total"))
+
+
+def _assert_canonical_csr(mat: SparseMatrix, what) -> None:
+    indptr, indices = mat.indptr, mat.indices
+    assert indptr.size == mat.dim + 1 and indptr[0] == 0 and indptr[-1] == mat.nnz, what
+    assert np.all(np.diff(indptr) >= 0), what
+    rows = zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    assert all(np.all(np.diff(indices[a:b]) > 0) for a, b in rows), what
+    assert indptr.dtype == indices.dtype == np.int32, what
+    assert not any(a.flags.writeable for a in (indptr, indices, mat.data)), what
+    csr = mat.to_csr()
+    for wrapped, stored in ((csr.indptr, indptr), (csr.indices, indices), (csr.data, mat.data)):
+        # np.shares_memory is False for empty arrays: those share their address
+        assert np.shares_memory(wrapped, stored) or stored.size == 0, what
+        assert wrapped.__array_interface__["data"] == stored.__array_interface__["data"], what
+    assert csr.has_sorted_indices, what
+
+
+@pytest.mark.parametrize(
+    "space, policy, n_max",
+    [
+        (build_ring_model(6, 1.0, -20.0), BelowEdge(), 4),
+        (random_mode_space(3, seed=20240, attraction=(40.0, 55.0)), LowestK(2), 5),
+    ],
+    ids=["ring6", "random3"],
+)
+def test_blocks_are_stored_as_canonical_int32_csr(space, policy, n_max):
+    spectrum = space.solve_composites(policy)
+    bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(n_max + 1)]
+    union = assemble_hamiltonian(SectorBasis.union(*bases), space, spectrum)
+    for n, ham in [("union", union), *enumerate(split_sectors(union, bases))]:
+        for term in TermId:
+            _assert_canonical_csr(ham.terms[term], (n, term))
+        _assert_canonical_csr(ham.total, (n, "total"))
 
 
 def test_spectrum_assembly_builds_no_states():
@@ -528,7 +563,8 @@ def _kron_product(term, basis, tensors):
 
     if term is TermId.SSC:
         css = _kron_product(TermId.CSS, basis, tensors)
-        return SparseMatrix.from_triples(basis.dim, css.cols, css.rows, css.vals)
+        coo = css.to_csr().tocoo()
+        return SparseMatrix.from_triples(basis.dim, coo.col, coo.row, coo.data)
     bra_group, ket_group = hamiltonian._GROUPS[term]
     stacks = [_kron_stack(g, basis) for g in dict.fromkeys((bra_group, ket_group))]
     if not all(vals.size for *_, vals in stacks):
@@ -552,9 +588,9 @@ def _kron_product(term, basis, tensors):
 
 def _assert_bitwise(got, want, what):
     assert got.dim == want.dim, what
-    assert np.array_equal(got.rows, want.rows), what
-    assert np.array_equal(got.cols, want.cols), what
-    assert np.array_equal(got.vals.view(np.int64), want.vals.view(np.int64)), what
+    assert np.array_equal(got.indptr, want.indptr), what
+    assert np.array_equal(got.indices, want.indices), what
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), what
 
 
 def _lock_cases():

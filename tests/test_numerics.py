@@ -165,9 +165,9 @@ def test_sparse_storage_is_canonical():
     m = SparseMatrix.from_triples(
         3, [2, 0, 0, 2], [1, 1, 1, 1], [0.5, 1.0, 2.0, -0.5]
     )
-    assert m.rows.tolist() == [0]
-    assert m.cols.tolist() == [1]
-    assert m.vals.tolist() == [3.0]
+    assert m.indptr.tolist() == [0, 1, 1, 1]
+    assert m.indices.tolist() == [1]
+    assert m.data.tolist() == [3.0]
 
 
 def test_sparse_drop_tolerance():
@@ -181,12 +181,12 @@ def test_sparse_drop_keeps_straddling_pair():
     # matrix stays as symmetric as its input
     m = SparseMatrix.from_triples(2, [0, 1], [1, 0], [1.0000001e-12, 0.9999999e-12])
     assert m.nnz == 2
-    assert m.vals.tolist() == [1.0000001e-12, 0.9999999e-12]
+    assert m.data.tolist() == [1.0000001e-12, 0.9999999e-12]
 
 
 def test_sparse_drop_removes_small_pairs_and_lone_entries():
     lone = SparseMatrix.from_triples(3, [0, 2], [1, 2], [0.5e-12, 1.0])
-    assert (lone.rows.tolist(), lone.cols.tolist()) == ([2], [2])
+    assert (lone.indptr.tolist(), lone.indices.tolist()) == ([0, 0, 0, 1], [2])
     both = SparseMatrix.from_triples(2, [0, 1], [1, 0], [0.9e-12, -0.8e-12])
     assert both.nnz == 0
 
@@ -206,24 +206,26 @@ def test_coordinate_csv_format():
 
 def test_coordinate_csv_matches_numpy_scalar_formatting():
     # the writer formats Python numbers; each line equals the formatting of
-    # the stored numpy scalars themselves, also for a strided array
-    dim = 3_000_000_000
-    rows = np.array([0, 7, 2_999_999_999, 12], dtype=np.int64)
-    cols = np.array([5, 2_999_999_998, 1, 12], dtype=np.int64)
+    # the stored numpy scalars themselves, for either index dtype and also
+    # for a strided array
     vals = np.array([-0.1, 0.0, 1e-300, 0.0, 1.7976931348623157e308, 0.0, -2.0 / 3.0])[::2]
-    m = SparseMatrix(dim, rows, cols, vals)
-    want = ["row,col,value"] + [f"{r},{c},{v:.17g}" for r, c, v in zip(rows, cols, vals)]
-    assert m.to_coordinate_csv() == "\n".join(want) + "\n"
-    assert "2999999999,1,1.7976931348623157e+308" in want
+    rows = [0, 2, 2, 3]
+    for dtype in (np.int32, np.int64):
+        indptr = np.array([0, 1, 1, 3, 4], dtype=dtype)
+        indices = np.array([3, 0, 2, 1], dtype=dtype)
+        m = SparseMatrix(4, indptr, indices, vals)
+        want = ["row,col,value"] + [f"{r},{c},{v:.17g}" for r, c, v in zip(rows, indices, vals)]
+        assert m.to_coordinate_csv() == "\n".join(want) + "\n"
+        assert "2,2,1.7976931348623157e+308" in want
 
 
 def test_coordinate_csv_keeps_the_two_zeros_apart():
     # each distinct value is formatted once, keyed by its bits: -0.0 prints
     # as -0 and 0.0 as 0, wherever they stand, as the per-entry loop does
     vals = np.array([0.0, -0.0, 0.25, -0.0, 0.25, 0.0, -1.0 / 3.0, 1e-300, -0.0])
-    rows = np.arange(vals.size, dtype=np.int64)
+    rows = np.arange(vals.size, dtype=np.int32)
     cols = rows[::-1].copy()
-    m = SparseMatrix(vals.size, rows, cols, vals)
+    m = SparseMatrix(vals.size, np.arange(vals.size + 1, dtype=np.int32), cols, vals)
     want = ["row,col,value"] + [f"{r},{c},{v:.17g}" for r, c, v in zip(rows, cols, vals)]
     assert m.to_coordinate_csv() == "\n".join(want) + "\n"
     assert "1,7,-0" in want and "0,8,0" in want
@@ -249,9 +251,10 @@ def test_transpose_and_csr_canonicalizer_store_like_from_triples(dim, triples, s
     def same(a, b):
         return (
             a.dim == b.dim
-            and np.array_equal(a.rows, b.rows)
-            and np.array_equal(a.cols, b.cols)
-            and np.array_equal(a.vals.view(np.int64), b.vals.view(np.int64))
+            and a.indptr.dtype == a.indices.dtype == b.indices.dtype
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
         )
 
     # the transpose is a permutation of the canonical storage
@@ -274,14 +277,18 @@ def test_transpose_and_csr_canonicalizer_store_like_from_triples(dim, triples, s
 
 def test_csr_and_asymmetry_are_built_once(monkeypatch):
     m = SparseMatrix.from_triples(3, [0, 1, 2], [1, 0, 2], [1.0, 1.5, 2.0])
-    assert m.to_csr() is m.to_csr()
+    # the CSR is built once, as the storage: to_csr wraps it without a copy
+    csr = m.to_csr()
+    for wrapped, stored in ((csr.indptr, m.indptr), (csr.indices, m.indices), (csr.data, m.data)):
+        assert np.shares_memory(wrapped, stored)
+    assert csr.has_sorted_indices
     assert m.max_abs_asymmetry() == 0.5
     monkeypatch.setattr(SparseMatrix, "to_csr", lambda self: pytest.fail("rebuilt"))
     assert m.max_abs_asymmetry() == 0.5
     with pytest.raises(NonSymmetricError):
         sparse_lowest_eigen(m, 1)
     with pytest.raises(ValueError, match="read-only"):
-        m.vals[0] = 2.0
+        m.data[0] = 2.0
 
 
 def test_dense_path_checks_symmetry_without_a_csr(monkeypatch):
@@ -309,11 +316,14 @@ def test_diagonal_block_is_the_dense_block_rebased():
         block = stored.diagonal_block(lo, hi)
         want = sparse_from_dense(mat[lo:hi, lo:hi])
         assert block.dim == hi - lo
-        for got, ref in ((block.rows, want.rows), (block.cols, want.cols), (block.vals, want.vals)):
+        pairs = ((block.indptr, want.indptr), (block.indices, want.indices), (block.data, want.data))
+        for got, ref in pairs:
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
             assert not got.flags.writeable
-    assert stored.diagonal_block(1, 3).vals.base is None  # a copy: the parent can be freed
+    block = stored.diagonal_block(1, 3)
+    # copies: the parent can be freed
+    assert all(arr.base is None for arr in (block.indptr, block.indices, block.data))
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 2), (2, 4), (2, 6)])

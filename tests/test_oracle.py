@@ -613,7 +613,9 @@ def test_sweep_columns_are_sparse(model, request):
     for col in oracle.sweep_columns(space, spectrum, range(6)):
         block, j = blocks[col.sector, col.term], col.bras.index(col.ket)
         assert col.rows == sorted(set(col.rows))
-        assert set(block.rows[block.cols == j].tolist()) <= set(col.rows)
+        by_column = block.transpose()
+        stored = by_column.indices[by_column.indptr[j] : by_column.indptr[j + 1]]
+        assert set(stored.tolist()) <= set(col.rows)
         assert len(col.sq) == len(col.oracle) == len(col.diff) == len(col.rows)
         want = block.to_dense()[:, j]
         assert np.array_equal(_dense(col, col.sq).view(np.int64), want.view(np.int64))
