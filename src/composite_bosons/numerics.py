@@ -151,13 +151,10 @@ class SparseMatrix:
         small = np.flatnonzero(~keep)
         if small.size:
             # a small entry stays when its transpose partner is stored and
-            # kept; the partners are looked up in ascending order, which
-            # keeps the binary searches local
+            # kept; the partners are looked up among the row-major keys
             rows = np.repeat(np.arange(dim, dtype=np.int64), np.diff(indptr))
             keys = rows * dim + indices
             mirror = indices[small].astype(np.int64) * dim + rows[small]
-            order = np.argsort(mirror)
-            small, mirror = small[order], mirror[order]
             at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
             keep[small] = (keys[at] == mirror) & keep[at]
             kept_before = np.concatenate(([0], np.cumsum(keep)))

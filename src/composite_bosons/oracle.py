@@ -7,11 +7,13 @@ and re-emitting the target structure with exactly contracted amplitudes.
 Matrix elements computed this way never touch ladder operators, so they
 cross-check the second-quantized construction term by term.
 
-One plan, :func:`_plan`, says how a term acts on a labeled product.  Which
-blueprints match the product, at which factor positions, and which factors
-are spectators depends only on its label layout (which labels are atoms,
-which are paired), not on the modes; so does every bra configuration a
-matched blueprint emits.  The plan is made once per (term, layout).  The
+One plan, :func:`_plan`, says how a term acts on a labeled product.  It is
+built from the product's label layout (which labels are atoms, which are
+paired), not from the modes: :func:`_term_blueprints` yields, from the
+layout's atom and pair labels, only the blueprints whose right slots the
+layout fills, and the plan reads their factor positions and spectators off
+the layout; every bra configuration a matched blueprint emits depends on
+the layout alone too.  The plan is made once per (term, layout).  The
 amplitudes a matched blueprint emits depend only on its shape (the term,
 operators and slots with labels renumbered in order) and the modes of the
 matched factors.  Each shape is contracted once, as one
@@ -162,51 +164,48 @@ def _full_ops(labels: Sequence[int]) -> tuple[Operator, ...]:
     return tuple(ops)
 
 
-def _term_blueprints(term: TermId, labels: Sequence[int]) -> Iterator[Blueprint]:
+def _term_blueprints(
+    term: TermId, atoms: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> Iterator[Blueprint]:
+    """The blueprints of ``term`` whose right slots a layout fills: its atom
+    labels and its pair labels, each ascending."""
     if term is TermId.SS:
-        for i in labels:
+        for i in atoms:
             yield ((_s(i),), (OneBody(i),), ((_s(i),),))
     elif term is TermId.SSSS:
-        for i, j in combinations(labels, 2):
+        for i, j in combinations(atoms, 2):
             slots = (_s(i), _s(j))
             yield (slots, (TwoBody(i, j),), (slots,))
     elif term is TermId.CC:
-        for i, j in combinations(labels, 2):
+        for i, j in pairs:
             slots = (_c(i, j),)
             yield (slots, pair_interaction_ops(i, j), (slots,))
     elif term is TermId.CSS:
-        for i, j in combinations(labels, 2):
+        for i, j in combinations(atoms, 2):
             yield ((_s(i), _s(j)), pair_interaction_ops(i, j), ((_c(i, j),),))
     elif term is TermId.SSC:
-        for i, j in combinations(labels, 2):
+        for i, j in pairs:
             yield ((_c(i, j),), pair_interaction_ops(i, j), ((_s(i), _s(j)),))
     elif term is TermId.SCSC:
-        for j, k in combinations(labels, 2):
-            for i in labels:
-                if i == j or i == k:
-                    continue
-                right = (_s(i), _c(j, k))
-                yield (right, (TwoBody(i, j), TwoBody(i, k)), (right,))
-                yield (
-                    right,
-                    _full_ops((i, j, k)),
-                    ((_s(j), _c(i, k)), (_s(k), _c(i, j))),
-                )
+        for (j, k), i in product(pairs, atoms):
+            right = (_s(i), _c(j, k))
+            yield (right, (TwoBody(i, j), TwoBody(i, k)), (right,))
+            yield (
+                right,
+                _full_ops((i, j, k)),
+                ((_s(j), _c(i, k)), (_s(k), _c(i, j))),
+            )
     elif term is TermId.CCCC:
         # unordered pair partitions: the first pair holds the smallest label
-        for i, j in combinations(labels, 2):
-            rest = [x for x in labels if x not in (i, j)]
-            for k, l in combinations(rest, 2):
-                if min(i, j) > min(k, l):
-                    continue
-                right = (_c(i, j), _c(k, l))
-                cross = (TwoBody(i, k), TwoBody(i, l), TwoBody(j, k), TwoBody(j, l))
-                yield (right, cross, (right,))
-                yield (
-                    right,
-                    _full_ops((i, j, k, l)),
-                    ((_c(i, k), _c(j, l)), (_c(i, l), _c(j, k))),
-                )
+        for (i, j), (k, l) in combinations(pairs, 2):
+            right = (_c(i, j), _c(k, l))
+            cross = (TwoBody(i, k), TwoBody(i, l), TwoBody(j, k), TwoBody(j, l))
+            yield (right, cross, (right,))
+            yield (
+                right,
+                _full_ops((i, j, k, l)),
+                ((_c(i, k), _c(j, l)), (_c(i, l), _c(j, k))),
+            )
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown projected term {term!r}")
 
@@ -228,21 +227,6 @@ def _digits(n: int, n_modes: int, n_composites: int) -> list[int]:
     composite, over labels 1..n: one base-(n+1) digit each.  A product's
     code, the sum of its factors' codes, names its occupation state."""
     return [(n + 1) ** d for d in range(n_modes + n_composites)]
-
-
-def _match_slots(
-    position: dict[tuple[int, ...], int], slots: tuple[Slot, ...]
-) -> tuple[int, ...] | None:
-    """The factor positions that fill the projector slots, in slot order, if
-    the partition structure agrees with them; otherwise None.  ``position``
-    maps the labels of each factor of the layout to its position."""
-    matched = []
-    for slot in slots:
-        p = position.get(slot_labels(slot))
-        if p is None:
-            return None
-        matched.append(p)
-    return tuple(matched)
 
 
 def _emit_configs(
@@ -363,13 +347,11 @@ class _Entry:
 @dataclass
 class _Memo:
     """What one call works out once and reuses across its products: the
-    blueprints of each (term, labels), the plan of each (term, label
-    layout) and the table of each shape.  The caller creates one per call,
-    so nothing outlives one model or sweep."""
+    plan of each (term, label layout) and the table of each shape.  The
+    caller creates one per call, so nothing outlives one model or sweep."""
 
     space: ModeSpace
     spectrum: CompositeSpectrum
-    blueprints: dict[tuple, list[Blueprint]] = field(default_factory=dict)
     plans: dict[tuple, list[_Entry]] = field(default_factory=dict)
     tables: dict[tuple, _Table] = field(default_factory=dict)
 
@@ -380,22 +362,18 @@ def _plan(term: TermId, layout: Layout, memo: _Memo) -> list[_Entry]:
     if plan is not None:
         return plan
     sizes = (memo.space.n_modes, memo.spectrum.n_composites)
-    labels = tuple(sorted(lab for labs in layout for lab in labs))
-    blueprints = memo.blueprints.get((term, labels))
-    if blueprints is None:
-        blueprints = memo.blueprints[term, labels] = list(_term_blueprints(term, labels))
+    atoms = sorted(labs[0] for labs in layout if len(labs) == 1)
+    pairs = sorted(labs for labs in layout if len(labs) == 2)
     position = {labs: p for p, labs in enumerate(layout)}
     plan = memo.plans[term, layout] = []
-    for right, ops, left in blueprints:
-        matched = _match_slots(position, right)
-        if matched is None:
-            continue
+    for right, ops, left in _term_blueprints(term, atoms, pairs):
+        matched = tuple([position[slot_labels(slot)] for slot in right])
         spectators = tuple(p for p in range(len(layout)) if p not in matched)
         shape = _shape(term, ops, right, left)
         table = memo.tables.get(shape)
         if table is None:
             table = memo.tables[shape] = _Table(left, ops, right, memo.space, memo.spectrum)
-        plan.append(_Entry(matched, spectators, left, table, len(labels), sizes))
+        plan.append(_Entry(matched, spectators, left, table, len(atoms) + 2 * len(pairs), sizes))
     return plan
 
 
@@ -567,7 +545,8 @@ def sweep_columns(
     the table of each shape and the emissions of each matched mode choice
     are computed once and reused by every ket, sector and term that meets
     them, so each shape is contracted once, even relabeled.  Each term block is
-    read once, by column, as Python floats.  Each column is sparse
+    read by column, one ket's slice at a time as Python floats, so no copy of
+    a whole block is made as Python objects.  Each column is sparse
     (:class:`Column`): its rows join the rows sq stores and the bras the
     oracle column adds to, and no list of the sector's dimension is built.
 
@@ -604,10 +583,10 @@ def sweep_columns(
             # the block stored by column: ket j's entries are one slice
             by_column = union_blocks[term].diagonal_block(lo, lo + basis.dim).transpose()
             bounds = by_column.indptr.tolist()
-            stored_rows, stored = by_column.indices.tolist(), by_column.data.tolist()
+            stored_rows, stored = by_column.indices, by_column.data
             for j, ket in enumerate(kets):
                 column = slice(bounds[j], bounds[j + 1])
-                sq = dict(zip(stored_rows[column], stored[column]))
+                sq = dict(zip(stored_rows[column].tolist(), stored[column].tolist()))
                 oracle = _oracle_column(term, ket, index, memo)
                 rows = sorted(sq.keys() | oracle.keys())
                 sqs = [sq.get(i, 0.0) for i in rows]

@@ -18,8 +18,10 @@ from composite_bosons.algebra import (
     FormalState,
     OneBody,
     Pair,
+    TwoBody,
     formal_inner_product,
     labeled_matrix_element,
+    pair_interaction_ops,
 )
 from composite_bosons.fock import OccupationState, enumerate_sector, normalization_constant
 from composite_bosons.hamiltonian import TermId, assemble_hamiltonian
@@ -240,18 +242,13 @@ def _swept_oracle(space, spectrum, sectors):
 
 
 def _split(prod, slots):
-    # (matched factors, spectators) of a product against projector slots, or
-    # None; an atom slot needs that label unpaired, a pair slot that pair
+    # (matched factors, spectators) of a product against projector slots it
+    # fills: an atom slot names an unpaired label, a pair slot a pair
     by_labels = {
         ((f.label,) if isinstance(f, Atom) else f.labels): f for f in prod.factors
     }
-    matched = []
-    for kind, where in slots:
-        f = by_labels.get((where,) if kind == "S" else where)
-        if f is None:
-            return None
-        matched.append(f)
-    return tuple(matched), tuple(f for f in prod.factors if f not in matched)
+    matched = tuple(by_labels[algebra.slot_labels(slot)] for slot in slots)
+    return matched, tuple(f for f in prod.factors if f not in matched)
 
 
 def _blueprint_loop(term, state, space, spectrum):
@@ -260,11 +257,9 @@ def _blueprint_loop(term, state, space, spectrum):
     # (lower sort key as the bra)
     out = []
     for prod in state.products:
-        for right, ops, lefts in oracle._term_blueprints(term, sorted(prod.labels)):
-            split = _split(prod, right)
-            if split is None:
-                continue
-            matched, spectators = split
+        layout = tuple(map(oracle._labels_of, prod.factors))
+        for right, ops, lefts in oracle._term_blueprints(term, *_atoms_and_pairs(layout)):
+            matched, spectators = _split(prod, right)
             ket = FormalProduct(1.0, matched)
             for left in lefts:
                 for factors in oracle._emit_configs(left, space.n_modes, spectrum.n_composites):
@@ -414,16 +409,16 @@ def test_verify_sectors_builds_each_shape_table_once(random_model, monkeypatch):
 
 @pytest.mark.parametrize("model", ["two_site", "random_model"])
 def test_fragment_tables_match_per_element_contractions(model, request):
-    # every blueprint shape reachable at N <= 4, whatever its label order:
-    # each table entry is the per-element contraction of the unit-weight
-    # products that fill its slots
+    # every blueprint shape reachable at N <= 4, whatever its label order
+    # (every atoms/pairs split of labels 1..n): each table entry is the
+    # per-element contraction of the unit-weight products that fill its slots
     space, spectrum = request.getfixturevalue(model)
     n_modes, n_composites = space.n_modes, spectrum.n_composites
     seen = set()
     compared = 0
-    for n in range(1, 5):
-        for term in TermId:
-            for right, ops, lefts in oracle._term_blueprints(term, range(1, n + 1)):
+    for n, term in itertools.product(range(1, 5), TermId):
+        for layout in _layouts(range(1, n + 1)):
+            for right, ops, lefts in oracle._term_blueprints(term, *_atoms_and_pairs(layout)):
                 for left in lefts:
                     shape = _renumbered(left, ops, right)
                     if shape in seen:
@@ -450,23 +445,101 @@ def test_fragment_tables_match_per_element_contractions(model, request):
     assert compared > 50
 
 
+def _layouts(labels):
+    # every label layout of the labels: each pair partition of a subset of
+    # them, the rest atoms, groups ordered by their smallest label
+    labels = tuple(labels)
+    if not labels:
+        yield ()
+        return
+    first, others = labels[0], labels[1:]
+    for tail in _layouts(others):
+        yield ((first,),) + tail
+    for k, partner in enumerate(others):
+        for tail in _layouts(others[:k] + others[k + 1 :]):
+            yield ((first, partner),) + tail
+
+
+def _atoms_and_pairs(layout):
+    # a layout's atom labels and pairs, each ascending
+    return (
+        sorted(g[0] for g in layout if len(g) == 1),
+        sorted(g for g in layout if len(g) == 2),
+    )
+
+
+def _label_blueprints(term, labels):
+    # the reference: every blueprint over the ascending label set, whichever
+    # labels a layout pairs; a layout's plan holds those it fills, in order
+    def s(i):
+        return ("S", i)
+
+    def c(i, j):
+        return ("C", (min(i, j), max(i, j)))
+
+    def full(labs):
+        return (*map(OneBody, labs), *itertools.starmap(TwoBody, itertools.combinations(labs, 2)))
+
+    two = list(itertools.combinations(labels, 2))
+    if term is TermId.SS:
+        for i in labels:
+            yield ((s(i),), (OneBody(i),), ((s(i),),))
+    elif term is TermId.SSSS:
+        for i, j in two:
+            yield ((s(i), s(j)), (TwoBody(i, j),), ((s(i), s(j)),))
+    elif term is TermId.CC:
+        for i, j in two:
+            yield ((c(i, j),), pair_interaction_ops(i, j), ((c(i, j),),))
+    elif term is TermId.CSS:
+        for i, j in two:
+            yield ((s(i), s(j)), pair_interaction_ops(i, j), ((c(i, j),),))
+    elif term is TermId.SSC:
+        for i, j in two:
+            yield ((c(i, j),), pair_interaction_ops(i, j), ((s(i), s(j)),))
+    elif term is TermId.SCSC:
+        for j, k in two:
+            for i in labels:
+                if i == j or i == k:
+                    continue
+                right = (s(i), c(j, k))
+                yield (right, (TwoBody(i, j), TwoBody(i, k)), (right,))
+                yield (right, full((i, j, k)), ((s(j), c(i, k)), (s(k), c(i, j))))
+    elif term is TermId.CCCC:
+        for i, j in two:
+            rest = [x for x in labels if x not in (i, j)]
+            for k, l in itertools.combinations(rest, 2):
+                if min(i, j) > min(k, l):
+                    continue
+                right = (c(i, j), c(k, l))
+                cross = (TwoBody(i, k), TwoBody(i, l), TwoBody(j, k), TwoBody(j, l))
+                yield (right, cross, (right,))
+                yield (right, full((i, j, k, l)), ((c(i, k), c(j, l)), (c(i, l), c(j, k))))
+
+
+def test_term_blueprints_are_the_layout_filtered_label_blueprints():
+    # for every layout of labels 1..n, n <= 6, the blueprints yielded from its
+    # atoms and pairs are, in order, the label-set generator's blueprints
+    # whose right slots the layout fills; each plan, and so each sum over its
+    # emissions, runs in that order
+    cases = 0
+    for n, term in itertools.product(range(0, 7), TermId):
+        labels = tuple(range(1, n + 1))
+        for layout in _layouts(labels):
+            filled = set(layout)
+            want = [
+                blueprint for blueprint in _label_blueprints(term, labels)
+                if all(algebra.slot_labels(slot) in filled for slot in blueprint[0])
+            ]
+            got = list(oracle._term_blueprints(term, *_atoms_and_pairs(layout)))
+            assert got == want, (term, layout)
+            cases += 1
+    assert cases == 7 * 120
+
+
 def _labeled_products(n, n_modes, n_composites):
-    # every labeled product over labels 1..n: each pair partition of a
-    # subset of the labels, with every mode and composite choice
-    labels = tuple(range(1, n + 1))
-
-    def partitions(rest):
-        if not rest:
-            yield ()
-            return
-        first, others = rest[0], rest[1:]
-        for tail in partitions(others):
-            yield ((first,),) + tail
-        for k, partner in enumerate(others):
-            for tail in partitions(others[:k] + others[k + 1 :]):
-                yield ((first, partner),) + tail
-
-    for groups in partitions(labels):
+    # every labeled product over labels 1..n: each label layout, with every
+    # mode and composite choice
+    for groups in _layouts(range(1, n + 1)):
         ranges = [range(n_modes) if len(g) == 1 else range(n_composites) for g in groups]
         for choice in itertools.product(*ranges):
             yield FormalProduct(1.0, tuple(
@@ -525,8 +598,8 @@ def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch)
     space, spectrum = random_model
     intact = oracle._term_blueprints
 
-    def broken(term, labels):
-        for right, ops, lefts in intact(term, labels):
+    def broken(term, atoms, pairs):
+        for right, ops, lefts in intact(term, atoms, pairs):
             if term is TermId.SCSC and len(lefts) == 2:
                 lefts = lefts[:1]
             yield right, ops, lefts
