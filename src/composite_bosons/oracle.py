@@ -18,20 +18,19 @@ amplitudes a matched blueprint emits depend only on its shape (the term,
 operators and slots with labels renumbered in order) and the modes of the
 matched factors.  Each shape is contracted once, as one
 :func:`~composite_bosons.algebra.fragment_table` per left structure over
-every mode choice of its slots, and the emissions of a matched mode choice
-are the nonzero entries of that choice's column, stored as (position in the
-bra list, amplitude).  Plans and tables live in a memo the caller creates
-per call, so nothing outlives one model or one sweep.  The tables are built
-from the blueprint slots alone, never from the second-quantized coefficient
-tensors.
+every mode choice of its slots; a matched mode choice emits the nonzero
+entries of that choice's column.  Plans and tables live in a memo the
+caller creates per call, so nothing outlives one model or one sweep.  The
+tables are built from the blueprint slots alone, never from the
+second-quantized coefficient tensors.
 
-:func:`apply_projected_term` collects the output products of
-:func:`_emissions`.  :func:`oracle_matrix_element` applies a term to every
-labeled product of the ket's expansion and takes the ideal inner product
-with the bra's expansion; it is the brute-force reference.
-:func:`sweep_columns` reads the same plans and tables through
-:func:`_oracle_column`, yields each ket's column of each term block beside
-the second-quantized one, and uses two closed forms of those expansions:
+:func:`apply_projected_term` collects one output product per emission.
+:func:`oracle_matrix_element` applies a term to every labeled product of
+the ket's expansion and takes the ideal inner product with the bra's
+expansion; it is the brute-force reference.  :func:`sweep_columns` reads
+the same plans and tables for a run of kets at a time as arrays, yields
+each ket's column of each term block beside the second-quantized one, and
+uses two closed forms of those expansions:
 
 * Each projected term sums over all label choices, so it commutes with
   relabeling, and every bra expansion is a symmetric sum; hence <B|H|p> is
@@ -39,17 +38,16 @@ the second-quantized one, and uses two closed forms of those expansions:
   term to one representative, the identity-permutation product (atoms take
   labels 1.. in mode order, then each pair two consecutive labels), weighted
   by the sum of K's expansion weights, N! times its normalization constant.
-  :func:`_ket` reads its layout, modes and codes from K's occupation counts;
-  no product is built.
+  :func:`_kets` reads the layouts, modes and codes of a sector's
+  representatives from its occupation array; no product is built.
 * A labeled product fixes its occupation (atoms per mode, pairs per
   composite), so each emission is read into its bra through the occupation
-  alone: the ket's, minus the matched factors, plus the emitted ones, kept
-  as an integer code, a sum of :func:`_digits`, that the plan holds per
-  bra.  In the expansion of bra B a labeled product carries the weight
+  alone: the ket's spectators plus the emitted factors, kept as an integer
+  code modulo 2**64, a sum of :func:`_digits`, that the plan holds per bra.
+  In the expansion of bra B a labeled product carries the weight
   w_B = c_B * prod(n_m!) * prod(k_a! 2^k_a), c_B the normalization constant:
   the count of label permutations that fix one labeled product.  Each
-  emission is added straight into its bra with that weight; no output
-  product is built.
+  emission adds to its bra with that weight; no output product is built.
 
 :func:`verify_sectors` folds the sweep's columns into a summary; the report's
 layout, with a row per checked element, belongs to ``cli verify``.
@@ -224,9 +222,10 @@ def _mode_of(factor: FormalFactor) -> int:
 
 def _digits(n: int, n_modes: int, n_composites: int) -> list[int]:
     """The occupation code of one atom in each mode, then of one pair in each
-    composite, over labels 1..n: one base-(n+1) digit each.  A product's
-    code, the sum of its factors' codes, names its occupation state."""
-    return [(n + 1) ** d for d in range(n_modes + n_composites)]
+    composite, over labels 1..n: one digit each, in the least odd base above
+    n.  A product's code, the sum of its factors' codes, names its occupation
+    state; an odd digit is a unit modulo 2**64, so none vanishes there."""
+    return [(n + 1 + n % 2) ** d for d in range(n_modes + n_composites)]
 
 
 def _emit_configs(
@@ -269,9 +268,7 @@ class _Table:
     in :func:`_emit_configs` order, concatenated over the structures.  It is
     built on first use from any one blueprint of the shape: an
     order-preserving relabeling generates the same contractions, so every
-    blueprint of the shape gets the same table.  ``emissions`` maps each
-    matched mode choice to the nonzero ``(bra position, amplitude)`` entries
-    of its column, in bra order.
+    blueprint of the shape gets the same table.
     """
 
     left: tuple[tuple[Slot, ...], ...]
@@ -279,7 +276,6 @@ class _Table:
     right: tuple[Slot, ...]
     space: ModeSpace
     spectrum: CompositeSpectrum
-    emissions: dict[tuple[int, ...], list[Emission]] = field(default_factory=dict)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -290,15 +286,10 @@ class _Table:
         return np.concatenate([part.reshape(-1, *part.shape[len(slots):])
                                for part, slots in zip(parts, self.left)])
 
-    def emitted(self, matched_modes: tuple[int, ...]) -> list[Emission]:
-        out = self.emissions.get(matched_modes)
-        if out is None:
-            column = self.amplitudes[(slice(None), *matched_modes)]
-            nonzero = np.flatnonzero(column)
-            out = self.emissions[matched_modes] = list(
-                zip(nonzero.tolist(), column[nonzero].tolist())
-            )
-        return out
+
+def _u64(codes: Iterable[int]) -> np.ndarray:
+    """Occupation codes modulo 2**64, as ``uint64``."""
+    return np.array([code % 2**64 for code in codes], dtype=np.uint64)
 
 
 @dataclass(eq=False)
@@ -311,7 +302,8 @@ class _Entry:
     to bra k of the other with the same amplitude.  The bra configurations
     of its left structures, in emission order, are built on first use: as
     products where an output product needs them, and as occupation codes
-    (from :func:`_digits` over labels 1..n) where the sweep reads the bra.
+    modulo 2**64 (from :func:`_digits` over labels 1..n) where the sweep
+    reads the bra.
     """
 
     matched: tuple[int, ...]
@@ -330,18 +322,20 @@ class _Entry:
         ]
 
     @cached_property
-    def codes(self) -> list[int]:
+    def codes(self) -> np.ndarray:
         digits = _digits(self.n, *self.sizes)
         atoms, pairs = digits[: self.sizes[0]], digits[self.sizes[0] :]
-        return [
+        return _u64(
             sum(choice)
             for slots in self.left
             for choice in product(*(atoms if kind == "S" else pairs for kind, _ in slots))
-        ]
+        )
 
     def emitted(self, modes: tuple[int, ...]) -> list[Emission]:
-        """The nonzero emissions of a product with these factor modes."""
-        return self.table.emitted(tuple([modes[p] for p in self.matched]))
+        """The nonzero emissions of a product with these factor modes, in bra order."""
+        column = self.table.amplitudes[(slice(None), *[modes[p] for p in self.matched])]
+        nonzero = np.flatnonzero(column)
+        return list(zip(nonzero.tolist(), column[nonzero].tolist()))
 
 
 @dataclass
@@ -377,86 +371,6 @@ def _plan(term: TermId, layout: Layout, memo: _Memo) -> list[_Entry]:
     return plan
 
 
-def _emissions(
-    term: TermId, prod: FormalProduct, memo: _Memo
-) -> Iterator[tuple[_Entry, list[Emission]]]:
-    """The emissions of a projected term applied to one labeled product.
-
-    For each blueprint whose right slots match ``prod`` it yields the plan
-    entry and the nonzero ``(bra position, amplitude)`` emissions of its left
-    structures; the entry names the matched and spectator factors and the
-    bras.  The amplitude is the exact fragment element, read from the
-    shape's table; ``prod``'s own weight is not applied.
-
-    ``memo`` holds the plan of each (term, label layout) and the table of
-    each shape (the term, operators and slots with labels renumbered in
-    order); the caller creates it per call and reuses it across the
-    products of that call, so each shape is contracted once.
-    """
-    modes = tuple(map(_mode_of, prod.factors))
-    for entry in _plan(term, tuple(map(_labels_of, prod.factors)), memo):
-        emitted = entry.emitted(modes)
-        if emitted:
-            yield entry, emitted
-
-
-class _Ket(NamedTuple):
-    """A ket's representative, the identity-permutation product of its
-    expansion, read once for every term: its factors' label layout, modes
-    and occupation codes, and its total weight."""
-
-    weight: float
-    layout: Layout
-    modes: tuple[int, ...]
-    codes: list[int]  # the occupation code of each factor
-    occupation: int
-
-
-def _ket(state: OccupationState, digits: list[int]) -> _Ket:
-    """``state``'s representative, read from its counts and ``digits``
-    (:func:`_digits` over its labels).  Atoms take labels 1.. in mode order,
-    then each pair two consecutive labels; the weight is N! times the
-    normalization constant, the sum of the expansion's weights."""
-    n_modes, n = len(state.atoms), state.constituents
-    atoms = [m for m, count in enumerate(state.atoms) for _ in range(count)]
-    pairs = [a for a, count in enumerate(state.molecules) for _ in range(count)]
-    codes = [digits[m] for m in atoms] + [digits[n_modes + a] for a in pairs]
-    a = len(atoms)
-    layout = tuple((lab,) for lab in range(1, a + 1)) + tuple(
-        (lab, lab + 1) for lab in range(a + 1, n, 2)
-    )
-    weight = math.factorial(n) * normalization_constant(state)
-    return _Ket(weight, layout, tuple(atoms + pairs), codes, sum(codes))
-
-
-def _oracle_column(
-    term: TermId,
-    ket: _Ket,
-    index: dict[int, tuple[int, float]],
-    memo: _Memo,
-) -> dict[int, float]:
-    """Column ``<i|term|ket>`` read from the emissions of ket's representative,
-    keyed by the bras i it adds to; every other entry is +0.0.
-
-    Each emission is read into its bra through the occupation code (see
-    :func:`_digits`): the ket's, minus the matched factors', plus the
-    emitted bra's from the plan, looked up in ``index``
-    ``occupation -> (i, w_i)``, and added there, starting from 0.0, as
-    ``w_i * (weight * amp)``.
-    """
-    column: dict[int, float] = {}
-    weight = ket.weight
-    for entry in _plan(term, ket.layout, memo):
-        emitted = entry.emitted(ket.modes)
-        if emitted:
-            occupation = ket.occupation - sum([ket.codes[p] for p in entry.matched])
-            codes = entry.codes
-            for k, amp in emitted:
-                i, w_i = index[occupation + codes[k]]
-                column[i] = column.get(i, 0.0) + w_i * (weight * amp)
-    return column
-
-
 def apply_projected_term(
     term: TermId,
     state: FormalState,
@@ -465,9 +379,12 @@ def apply_projected_term(
 ) -> FormalState:
     """Apply one first-quantized projected term to a formal state.
 
-    Collects the emission core's output products over every product of the
-    state.  Terms whose arity exceeds the particle count simply produce the
-    empty (annihilating) state.
+    For each product of the state and each blueprint whose right slots match
+    it, every nonzero emission of the blueprint's left structures is one
+    output product: the emitted bra configuration, then the spectators,
+    weighted by the product's weight times the exact fragment element read
+    from the shape's table.  The output products are collected; terms whose
+    arity exceeds the particle count produce the empty (annihilating) state.
     """
     memo = _Memo(space, spectrum)
     out = [
@@ -476,8 +393,8 @@ def apply_projected_term(
             entry.bras[k].factors + tuple([prod.factors[p] for p in entry.spectators]),
         )
         for prod in state.products
-        for entry, emitted in _emissions(term, prod, memo)
-        for k, amp in emitted
+        for entry in _plan(term, tuple(map(_labels_of, prod.factors)), memo)
+        for k, amp in entry.emitted(tuple(map(_mode_of, prod.factors)))
     ]
     if not out:
         return FormalState(())
@@ -521,6 +438,74 @@ class Column(NamedTuple):
     diff: list[float]  # |sq - oracle| per listed row
 
 
+RUN = 512  # the kets whose oracle columns the sweep builds at once
+
+
+class _Sector(NamedTuple):
+    """One sector as the sweep reads it for every term: its layouts' kets
+    (:func:`_kets`), its states' occupation codes modulo 2**64, ascending,
+    the state of each code and the weight w_i of one labeled product in
+    each state's expansion."""
+
+    kets: list[tuple]
+    codes: np.ndarray
+    order: np.ndarray
+    w: np.ndarray
+
+
+def _oracle_run(
+    term: TermId, sector: _Sector, a: int, b: int, memo: _Memo
+) -> tuple[np.ndarray, np.ndarray]:
+    """The emissions of kets a..b-1, in emission order (plan order, then bra
+    position, for each ket): the key ``(j - a) * dim + i`` of the (ket j,
+    bra i) element each adds to, and the value it adds."""
+    dim = len(sector.w)
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for layout, kets, modes, codes, weight in sector.kets:
+        lo, hi = np.searchsorted(kets, (a, b)).tolist()
+        if lo == hi:
+            continue
+        kets, modes, codes, weight = kets[lo:hi], modes[lo:hi], codes[lo:hi], weight[lo:hi]
+        for entry in _plan(term, layout, memo):
+            amps = entry.table.amplitudes[(slice(None), *modes[:, list(entry.matched)].T)].T
+            j, k = np.nonzero(amps)
+            # the ket's code minus the matched factors' is its spectators'
+            rest = codes[:, list(entry.spectators)].sum(axis=1, dtype=np.uint64)
+            bra_codes = rest[j] + entry.codes[k]
+            found = np.minimum(np.searchsorted(sector.codes, bra_codes), dim - 1)
+            if np.any(sector.codes[found] != bra_codes):
+                raise ValueError(f"a {term.value} emission leaves the sector")
+            bras = sector.order[found]
+            keys.append((kets[j] - a) * dim + bras)
+            values.append(sector.w[bras] * (weight[j] * amps[j, k]))
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _kets(basis: SectorBasis, digits: np.ndarray) -> list[tuple]:
+    """Each label layout's kets of ``basis``, read from its occupation counts:
+    their indices, factor modes, factor codes (``digits`` of the factors'
+    occupation columns) and weights.  A ket is applied as its
+    representative, the identity-permutation product of its expansion:
+    atoms take labels 1.. in mode order, then each pair two consecutive
+    labels, so the number of atoms fixes the layout.  The weight is N! times
+    the normalization constant, the sum of the expansion's weights."""
+    occ, m, n, states = basis.occupations, basis.n_atom_modes, basis.constituents, basis.states
+    n_atoms = occ[:, :m].sum(axis=1)
+    out = []
+    for a in np.unique(n_atoms).tolist():
+        kets = np.flatnonzero(n_atoms == a)
+        rows = occ[kets]
+        columns = np.repeat(np.tile(np.arange(occ.shape[1]), len(kets)), rows.ravel())
+        columns = columns.reshape(len(kets), -1)  # atom modes ascending, then composites
+        layout = tuple((lab,) for lab in range(1, a + 1)) + tuple(
+            (lab, lab + 1) for lab in range(a + 1, n, 2)
+        )
+        weight = [math.factorial(n) * normalization_constant(states[i]) for i in kets.tolist()]
+        out.append((layout, kets, np.where(columns < m, columns, columns - m), digits[columns],
+                    np.array(weight)))
+    return out
+
+
 def sweep_columns(
     space: ModeSpace,
     spectrum: CompositeSpectrum,
@@ -533,28 +518,34 @@ def sweep_columns(
     ket, the identity-permutation product weighted by N! times the
     normalization constant (the sum of the expansion's weights).  This is
     exact because the projected terms commute with relabeling and the bra
-    expansions are symmetric.  Column j is read straight from the emission
-    core: each emission's bra occupation (the ket's, minus the matched
-    factors, plus the emitted ones) indexes ``occupation code -> (bra
-    index, w_i)``, w_i being the weight of any one labeled product in bra
-    i's expansion.  No expansion and no output product is built, and the
-    sums run in emission order, so the column is the one
-    :func:`apply_projected_term` would give up to roundoff, not bitwise.
+    expansions are symmetric.
 
-    One memo serves the whole sweep: the plan of each (term, label layout),
-    the table of each shape and the emissions of each matched mode choice
-    are computed once and reused by every ket, sector and term that meets
-    them, so each shape is contracted once, even relabeled.  Each term block is
-    read by column, one ket's slice at a time as Python floats, so no copy of
-    a whole block is made as Python objects.  Each column is sparse
-    (:class:`Column`): its rows join the rows sq stores and the bras the
-    oracle column adds to, and no list of the sector's dimension is built.
+    The oracle columns of one term are built for a run of :data:`RUN` kets
+    at a time with array operations, read from :func:`_kets`: each plan
+    entry is applied to all the run's kets of its layout at once, its
+    amplitudes read from the shape's table at their matched modes.  Each
+    emission's bra occupation code (the ket's, minus the matched factors',
+    plus the emitted bra's, modulo 2**64 and checked distinct per sector)
+    is found among the sector's codes, and the emission adds ``w_i *
+    (weight * amp)`` to bra i, w_i being the weight of any one labeled
+    product in bra i's expansion.  Each (ket, bra) sums its emissions from
+    0.0 in emission order (plan order, then bra position), so every value is
+    the one a per-emission loop forms, bitwise.  No expansion and no output
+    product is built; the column is the one :func:`apply_projected_term`
+    would give up to roundoff, not bitwise.
+
+    One memo serves the whole sweep: the plan of each (term, label layout)
+    and the table of each shape are computed once and reused by every run,
+    sector and term that meets them, so each shape is contracted once, even
+    relabeled.  Each column is sparse (:class:`Column`): its rows join the
+    rows sq stores and the bras the oracle adds to, read for the run as
+    sorted (ket, bra) keys, and no list of the sector's dimension is built.
 
     The second-quantized blocks are built once per term, on the union of the
     distinct requested sectors, and each sector's block is read off as a
     diagonal slice, bitwise the block :func:`build_term` gives on the sector
     itself; repeated or unordered sector numbers are swept in the order
-    given.  Beyond those blocks nothing is kept from one column to the next,
+    given.  Beyond those blocks nothing is kept from one run to the next,
     so a consumer that does not keep the columns runs in memory that does
     not grow with their number.
     """
@@ -573,26 +564,34 @@ def sweep_columns(
     for n in numbers:
         basis, lo = bases[n], starts[n]
         names = [str(s) for s in basis.states]
-        digits = _digits(n, space.n_modes, spectrum.n_composites)
-        kets = [_ket(s, digits) for s in basis.states]
-        index = {
-            ket.occupation: (i, labeled_product_weight(s))
-            for i, (ket, s) in enumerate(zip(kets, basis.states))
-        }
+        digits = _u64(_digits(n, space.n_modes, spectrum.n_composites))
+        codes = basis.occupations.astype(np.uint64) @ digits
+        order = np.argsort(codes)
+        codes = codes[order]
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError(f"occupation codes of sector {n} collide modulo 2**64")
+        w = np.array([labeled_product_weight(s) for s in basis.states])
+        sector = _Sector(_kets(basis, digits), codes, order, w)
         for term in TermId:
             # the block stored by column: ket j's entries are one slice
             by_column = union_blocks[term].diagonal_block(lo, lo + basis.dim).transpose()
-            bounds = by_column.indptr.tolist()
-            stored_rows, stored = by_column.indices, by_column.data
-            for j, ket in enumerate(kets):
-                column = slice(bounds[j], bounds[j + 1])
-                sq = dict(zip(stored_rows[column].tolist(), stored[column].tolist()))
-                oracle = _oracle_column(term, ket, index, memo)
-                rows = sorted(sq.keys() | oracle.keys())
-                sqs = [sq.get(i, 0.0) for i in rows]
-                oracles = [oracle.get(i, 0.0) for i in rows]
-                diffs = [abs(a - b) for a, b in zip(sqs, oracles)]
-                yield Column(term.value, n, names, names[j], rows, sqs, oracles, diffs)
+            for a in range(0, basis.dim, RUN):
+                b = min(a + RUN, basis.dim)
+                keys, emitted = _oracle_run(term, sector, a, b, memo)
+                s, e = by_column.indptr[a], by_column.indptr[b]
+                held = np.repeat(np.arange(b - a), np.diff(by_column.indptr[a : b + 1]))
+                held = held * basis.dim + by_column.indices[s:e]
+                # one sorted key set of the stored and the emitted (ket, bra)
+                rows, inverse = np.unique(np.concatenate([held, keys]), return_inverse=True)
+                sq = np.zeros(len(rows))
+                sq[inverse[: len(held)]] = by_column.data[s:e]
+                # each element's emissions summed from 0.0 in emission order
+                oracle = np.bincount(inverse[len(held) :], weights=emitted, minlength=len(rows))
+                bounds = np.searchsorted(rows, np.arange(b - a + 1) * basis.dim).tolist()
+                arrays = (rows % basis.dim, sq, oracle, np.abs(sq - oracle))
+                for j, (x, y) in enumerate(zip(bounds, bounds[1:])):
+                    yield Column(term.value, n, names, names[a + j],
+                                 *[array[x:y].tolist() for array in arrays])
 
 
 def verify_sectors(

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from composite_bosons import cli
+from composite_bosons import cli, oracle
 from composite_bosons.modespace import LowestK
 from composite_bosons.models import build_ring_model, random_mode_space
 from composite_bosons.oracle import TERM_READING, Column, sweep_columns, verify_sectors
@@ -288,6 +288,42 @@ def test_out_of_memory_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys
     assert out.is_dir() == (command == "verify")
     assert not list(out.glob(".verification.json.*.tmp"))
     assert not (out / "verification.json").exists()
+
+
+def test_verify_colliding_occupation_codes_exit_1_without_a_traceback(tmp_path, monkeypatch, capsys):
+    # every digit 1 modulo 2**64: the sweep refuses the colliding codes of
+    # sector 1 after writing sector 0's columns, and the report is removed
+    monkeypatch.setattr(
+        oracle, "_digits", lambda n, m, a: [(n + 1) ** d * 2**64 + 1 for d in range(m + a)]
+    )
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, TWO_SITE)
+    assert cli.main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: occupation codes of sector 1 collide modulo 2**64\n"
+    assert not list(out.glob("*verification.json*"))
+
+
+def test_verify_sweeps_codes_past_2_64_in_an_even_base(tmp_path, capsys):
+    # 8 modes and 26 composites: sector 3's codes, of base 4 as n + 1, would
+    # collide modulo 2**64; the sweep's odd base keeps them apart
+    space = random_mode_space(8, seed=20240, attraction=tuple(np.linspace(400.0, 550.0, 26)))
+    doc = {
+        "model": {
+            "type": "explicit",
+            # diagonal, so the mode basis is the given one and T4 keeps its
+            # exact symmetries at wells of this depth
+            "O": np.diag(np.arange(8.0)).tolist(),
+            "T4": np.asarray(space.two_body.t4).ravel().tolist(),
+        },
+        "bound": {"policy": "lowest_k", "k": 26},
+    }
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", cfg, "--max-n", "3", "--out-dir", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    summary = json.loads((out / "verification.json").read_text())["summary"]
+    assert summary["max_abs_diff"] <= 1e-10
 
 
 def test_verify_memory_stays_below_half_the_report(tmp_path):

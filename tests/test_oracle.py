@@ -56,6 +56,13 @@ def ring6():
     return space, space.solve_composites(BelowEdge())
 
 
+@pytest.fixture(scope="module")
+def wide_model():
+    # 8 modes and 26 composites, each bound by a well of its own
+    space = random_mode_space(8, seed=20240, attraction=tuple(np.linspace(400.0, 550.0, 26)))
+    return space, space.solve_composites(LowestK(26))
+
+
 def test_expand_single_atom():
     state = expand_basis_state(OccupationState((1, 0), (0,)))
     assert len(state.products) == 1
@@ -230,6 +237,16 @@ def test_verify_sectors_matches_full_expansion(model, request):
     assert compared == verify_sectors(space, spectrum, range(0, 5))["pairs_checked"] == len(swept)
 
 
+def _read_kets(basis, digits):
+    # each ket of the basis as the sweep's array reader gives it, by index:
+    # (layout, factor modes, factor codes, weight)
+    return {
+        i: (layout, tuple(m), c, w)
+        for layout, kets, modes, codes, weight in oracle._kets(basis, digits)
+        for i, m, c, w in zip(kets.tolist(), modes.tolist(), codes.tolist(), weight.tolist())
+    }
+
+
 def _swept_oracle(space, spectrum, sectors):
     # the oracle value of every (term, bra, ket) the sweep checks; each
     # column is +0.0 at the rows it does not list
@@ -308,19 +325,21 @@ def test_verify_sectors_columns_are_the_collected_ones(model, request):
     swept = _swept_oracle(space, spectrum, range(0, 6))
     compared = 0
     for n in range(0, 6):
-        states = enumerate_sector(n, space.n_modes, spectrum.n_composites).states
+        basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
+        states = basis.states
         index = {
             (s.atoms, s.molecules): (i, labeled_product_weight(s)) for i, s in enumerate(states)
         }
         digits = oracle._digits(n, space.n_modes, spectrum.n_composites)
+        read = _read_kets(basis, oracle._u64(digits))
         for term in TermId:
-            for ket in states:
-                read = oracle._ket(ket, digits)
+            for j, ket in enumerate(states):
+                layout, modes, _, weight = read[j]
                 factors = tuple(
                     Atom(m, *labs) if len(labs) == 1 else Pair(m, labs)
-                    for labs, m in zip(read.layout, read.modes)
+                    for labs, m in zip(layout, modes)
                 )
-                rep = FormalState((FormalProduct(read.weight, factors),))
+                rep = FormalState((FormalProduct(weight, factors),))
                 column = [0.0] * len(states)
                 for p in apply_projected_term(term, rep, space, spectrum).products:
                     atoms, molecules = [0] * space.n_modes, [0] * spectrum.n_composites
@@ -617,19 +636,126 @@ def test_closed_forms_match_expansion(random_model, ring6):
     for (space, spectrum), max_n in [(random_model, 6), (ring6, 4)]:
         for n in range(0, max_n + 1):
             digits = oracle._digits(n, space.n_modes, spectrum.n_composites)
-            for state in enumerate_sector(n, space.n_modes, spectrum.n_composites).states:
+            basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
+            read = _read_kets(basis, oracle._u64(digits))
+            for j, state in enumerate(basis.states):
                 products = expand_basis_state(state).products
-                ket = oracle._ket(state, digits)
-                assert ket.layout == tuple(map(oracle._labels_of, products[0].factors)), state
-                assert ket.modes == tuple(map(oracle._mode_of, products[0].factors)), state
+                layout, modes, codes, ket_weight = read[j]
+                assert layout == tuple(map(oracle._labels_of, products[0].factors)), state
+                assert modes == tuple(map(oracle._mode_of, products[0].factors)), state
                 counts = state.atoms + state.molecules
-                assert ket.occupation == sum(c * d for c, d in zip(counts, digits)), state
+                assert sum(codes) == sum(c * d for c, d in zip(counts, digits)), state
                 weight = labeled_product_weight(state)
                 for p in products:
                     assert p.weight == pytest.approx(weight, rel=1e-14, abs=0.0), state
                 total = math.factorial(n) * normalization_constant(state)
-                assert ket.weight == total
+                assert ket_weight == total
                 assert sum(p.weight for p in products) == pytest.approx(total, rel=1e-14, abs=0.0)
+
+
+def _per_emission_columns(space, spectrum, n):
+    # the reference the sweep's arrays replace, one ket and one emission at a
+    # time: each ket's representative read from its counts, each emission's
+    # bra found through its exact occupation code and added into a dict from
+    # 0.0, in plan order, then bra position.  {(term, ket index): {bra: value}}
+    memo = oracle._Memo(space, spectrum)
+    n_modes = space.n_modes
+    states = enumerate_sector(n, n_modes, spectrum.n_composites).states
+    digits = oracle._digits(n, n_modes, spectrum.n_composites)
+
+    def code(factors):
+        return sum(
+            digits[f.mode] if isinstance(f, Atom) else digits[n_modes + f.index] for f in factors
+        )
+
+    index = {
+        sum(c * d for c, d in zip(s.atoms + s.molecules, digits)): (i, labeled_product_weight(s))
+        for i, s in enumerate(states)
+    }
+    columns = {}
+    for j, state in enumerate(states):
+        atoms = [m for m, count in enumerate(state.atoms) for _ in range(count)]
+        pairs = [a for a, count in enumerate(state.molecules) for _ in range(count)]
+        a = len(atoms)
+        layout = tuple((lab,) for lab in range(1, a + 1)) + tuple(
+            (lab, lab + 1) for lab in range(a + 1, n, 2)
+        )
+        modes = tuple(atoms + pairs)
+        factor_codes = [digits[m] for m in atoms] + [digits[n_modes + c] for c in pairs]
+        weight = math.factorial(n) * normalization_constant(state)
+        for term in TermId:
+            column = columns[term.value, j] = {}
+            for entry in oracle._plan(term, layout, memo):
+                spectators = sum(factor_codes[p] for p in entry.spectators)
+                for k, amp in entry.emitted(modes):
+                    i, w_i = index[spectators + code(entry.bras[k].factors)]
+                    column[i] = column.get(i, 0.0) + w_i * (weight * amp)
+    return columns
+
+
+def _assert_per_emission_sums_bitwise(space, spectrum, sectors):
+    # asserts every column of the sweep against _per_emission_columns;
+    # returns how many values that lists and how many of them are 0.0
+    references = {n: _per_emission_columns(space, spectrum, n) for n in sectors}
+    kets = {
+        (n, str(s)): j
+        for n in references
+        for j, s in enumerate(enumerate_sector(n, space.n_modes, spectrum.n_composites).states)
+    }
+    listed = cancelled = 0
+    for col in oracle.sweep_columns(space, spectrum, sectors):
+        want = references[col.sector][col.term, kets[col.sector, col.ket]]
+        assert set(want) <= set(col.rows), (col.term, col.ket)
+        got = [v.hex() for v in col.oracle]
+        assert got == [want.get(i, 0.0).hex() for i in col.rows], (col.term, col.ket)
+        listed += len(want)
+        cancelled += sum(v == 0.0 for v in want.values())
+    return listed, cancelled
+
+
+@pytest.mark.parametrize("model, max_n, min_cancelled", [("random_model", 5, 0), ("ring6", 4, 1)])
+def test_sweep_oracle_values_are_the_per_emission_sums_bitwise(
+    model, max_n, min_cancelled, request
+):
+    # every oracle value the sweep lists is, to its last bit, the sum the
+    # per-emission loop forms, and every bra that loop adds to is listed,
+    # also where its emissions cancel to 0.0 (on ring6 some do)
+    space, spectrum = request.getfixturevalue(model)
+    listed, cancelled = _assert_per_emission_sums_bitwise(space, spectrum, range(max_n + 1))
+    assert listed > 1000
+    assert cancelled >= min_cancelled
+
+
+def test_sweep_takes_occupation_codes_past_2_64(wide_model):
+    # sector 3 of 8 modes and 26 composites: its real digits pass 2**64 from
+    # the 28th on, and in base n + 1 = 4 the last two, 4**32 and 4**33, are
+    # 0 modulo 2**64, so codes of that base collide there.  The sweep's odd
+    # digits are units modulo 2**64; every oracle value is the per-emission
+    # sum over exact codes, to the last bit, and sq agrees with it
+    space, spectrum = wide_model
+    n, n_modes, n_composites = 3, space.n_modes, spectrum.n_composites
+    digits = oracle._digits(n, n_modes, n_composites)
+    assert max(digits) > 2**64 and all(d % 2 for d in digits)
+    occupations = enumerate_sector(n, n_modes, n_composites).occupations.astype(np.uint64)
+    even = oracle._u64([4**d for d in range(n_modes + n_composites)])
+    assert len(np.unique(occupations @ even)) < len(occupations)
+    assert len(np.unique(occupations @ oracle._u64(digits))) == len(occupations)
+    _assert_per_emission_sums_bitwise(space, spectrum, [n])
+    summary = verify_sectors(space, spectrum, [n])
+    assert summary["pairs_checked"] == 7 * len(occupations) ** 2
+    assert summary["max_abs_diff"] <= 1e-10
+
+
+def test_occupation_codes_colliding_modulo_2_64_raise(random_model, monkeypatch):
+    # distinct occupations whose codes agree modulo 2**64 are refused, not
+    # read into one another's bras
+    monkeypatch.setattr(
+        oracle, "_digits", lambda n, m, a: [(n + 1) ** d * 2**64 + 1 for d in range(m + a)]
+    )
+    columns = oracle.sweep_columns(*random_model, [0, 2])
+    assert len(list(itertools.islice(columns, 7))) == 7  # sector 0 has one state
+    with pytest.raises(ValueError, match=r"codes of sector 2 collide modulo 2\*\*64"):
+        next(columns)
 
 
 def test_verify_sectors_full_sweep_n6(random_model):
