@@ -4,25 +4,36 @@ The seven second-quantized terms are built as ladder-matrix products with exact
 few-particle bra-kets.  Independently, each occupation state is expanded
 over all particle-label permutations and the first-quantized projected
 terms are applied directly.  The two routes must agree entry by entry on
-every sector they can both reach.
+every sector they can both reach.  The sectors are assembled once, on their
+union, and the oracle sweeps exactly those blocks.
 """
 
-from composite_bosons import LowestK, random_mode_space, verify_sectors
+from composite_bosons import (
+    LowestK,
+    assemble_hamiltonian,
+    enumerate_sector,
+    random_mode_space,
+    verify_sectors,
+)
+from composite_bosons.fock import SectorBasis
+from composite_bosons.hamiltonian import split_sectors
 from composite_bosons.oracle import sweep_columns
 
 space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))
 spectrum = space.solve_composites(LowestK(2))
 print(f"random model: 3 modes, 2 composites at {spectrum.energies.round(4)}")
-print("sweeping all seven terms over every bra/ket pair in sectors N = 0..4 ...")
+print("assembling sectors N = 0..4 and sweeping all seven terms over every bra/ket pair ...")
 
-summary = verify_sectors(space, spectrum, range(0, 5))
+bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(0, 5)]
+hams = split_sectors(assemble_hamiltonian(SectorBasis.union(*bases), space, spectrum), bases)
+summary = verify_sectors(space, spectrum, hams)
 print(f"pairs checked       : {summary['pairs_checked']}")
 print(f"max |sq - oracle|   : {summary['max_abs_diff']:.3e}")
 
 # each column lists the rows where sq or oracle may be nonzero
 nonzero = [
     (col.term, col.bras[row], col.ket, sq, value)
-    for col in sweep_columns(space, spectrum, range(0, 5))
+    for col in sweep_columns(space, spectrum, hams)
     for row, sq, value in zip(col.rows, col.sq, col.oracle)
     if abs(sq) > 1e-8
 ]

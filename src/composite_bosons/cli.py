@@ -282,14 +282,15 @@ def _sector_csv(n: int, eigenvalues: Sequence[float]) -> str:
 
 def _sector_hamiltonians(
     space: ModeSpace, spectrum: CompositeSpectrum, n_max: int
-) -> list[tuple[int, SparseHamiltonian]]:
-    """The assembled Hamiltonian of each sector N = 0..n_max.
+) -> list[SparseHamiltonian]:
+    """The assembled Hamiltonian of each sector N = 0..n_max, at index N.
 
-    All sectors are assembled at once, on their union, and read off it.
+    All sectors are assembled at once, on their union, and read off it: a
+    run's one build of the blocks it solves, writes and verifies.
     """
     bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in range(n_max + 1)]
     union = assemble_hamiltonian(SectorBasis.union(*bases), space, spectrum)
-    return list(enumerate(split_sectors(union, bases)))
+    return split_sectors(union, bases)
 
 
 def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) -> int:
@@ -297,13 +298,12 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
     if verify_max_n is not None:
         _check_max_n(verify_max_n)
     space, spectrum = _solve(config)
+    # sectors verified past n_max are assembled with the rest, not solved
+    hams = _sector_hamiltonians(space, spectrum, max(config.n_max, verify_max_n or 0))
+    solved = hams[: config.n_max + 1]
     sectors = []
     sector_eigs: dict[int, list[float]] = {}
-    # sector blocks are kept only when their term CSVs will be written
-    hams: dict[int, SparseHamiltonian] | None = {} if "csv" in config.output.formats else None
-    for n, ham in _sector_hamiltonians(space, spectrum, config.n_max):
-        if hams is not None:
-            hams[n] = ham
+    for n, ham in enumerate(solved):
         k = min(ham.basis.dim, _EIGENVALUES_PER_SECTOR)
         eigs = [float(v) for v in sparse_lowest_eigen(ham.total, k)]
         sector_eigs[n] = eigs
@@ -323,11 +323,11 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
     }
     status = EXIT_OK
     if verify_max_n is not None:
-        summary = verify_sectors(space, spectrum, range(verify_max_n + 1))
+        summary = verify_sectors(space, spectrum, hams[: verify_max_n + 1])
         report["verification"] = summary
         status = _verify_status(summary)
         _print_verified(summary)
-    write_report(report, sector_eigs, hams, out_dir)
+    write_report(report, sector_eigs, solved if "csv" in config.output.formats else None, out_dir)
     sys.stderr.write(f"spectrum finished in {time.perf_counter() - started:.3f}s\n")
     return status
 
@@ -357,16 +357,16 @@ def _check_max_n(max_n: int) -> None:
 def write_report(
     report: dict,
     sector_eigs: dict[int, list[float]],
-    hams: dict[int, SparseHamiltonian] | None,
+    hams: Sequence[SparseHamiltonian] | None,
     out_dir: Path,
 ) -> None:
-    """Write report.json plus per-sector CSVs; byte-identical across reruns."""
+    """Write report.json plus per-sector CSVs, the term CSVs of ``hams``
+    (sector N at index N) if given; byte-identical across reruns."""
     _write_text(out_dir / "report.json", dump_json(report) + "\n")
     for n, eigs in sector_eigs.items():
         _write_text(out_dir / f"sector_{n}_eigs.csv", _sector_csv(n, eigs))
-    if hams is not None:
-        for n, ham in hams.items():
-            _write_term_csvs(out_dir, n, ham)
+    for n, ham in enumerate(hams or ()):
+        _write_term_csvs(out_dir, n, ham)
 
 
 def _write_term_csvs(out_dir: Path, n: int, ham: SparseHamiltonian) -> None:
@@ -380,7 +380,7 @@ def _write_term_csvs(out_dir: Path, n: int, ham: SparseHamiltonian) -> None:
 def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
     _check_max_n(max_n)
     space, spectrum = _solve(config)
-    columns = sweep_columns(space, spectrum, range(max_n + 1))
+    columns = sweep_columns(space, spectrum, _sector_hamiltonians(space, spectrum, max_n))
     output = _writing_stdout() if out_dir is None else _replacing(out_dir / "verification.json")
     with output as write:
         summary, stored_max = _write_verification(write, columns)
@@ -391,7 +391,7 @@ def _cmd_verify(config: ModelConfig, out_dir: Path | None, max_n: int) -> int:
 
 def _cmd_export_matrix(config: ModelConfig, out_dir: Path) -> int:
     space, spectrum = _solve(config)
-    for n, ham in _sector_hamiltonians(space, spectrum, config.n_max):
+    for n, ham in enumerate(_sector_hamiltonians(space, spectrum, config.n_max)):
         _write_term_csvs(out_dir, n, ham)
     return EXIT_OK
 

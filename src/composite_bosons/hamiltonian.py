@@ -279,18 +279,19 @@ def assemble_hamiltonian(
 
     The blocks are canonical, so the total is their CSR sum, added left to
     right in :class:`TermId` order and canonicalized once.  Hermiticity of
-    the sum and the bitwise adjoint pairing ``CSS == SSC^T`` are asserted,
-    not assumed; a Hermiticity failure names the worst entries by their
-    indices in ``basis``, which on a union basis are union indices.
+    the sum (to ``HERMITICITY_TOL * max(1, max|H|)``: roundoff scales with
+    the entries) and the bitwise adjoint pairing ``CSS == SSC^T`` are
+    asserted, not assumed; a Hermiticity failure names the worst entries by
+    their indices in ``basis``, which on a union basis are union indices.
     """
     if tensors is None:
         tensors = coefficient_tensors(space, spectrum)
     terms = {term: build_term(term, basis, space, spectrum, tensors) for term in TermId}
     total = SparseMatrix.from_csr(reduce(operator.add, (b.to_csr() for b in terms.values())))
-    asym = total.max_abs_asymmetry()
-    if asym > HERMITICITY_TOL:
+    asym, tol = total.max_abs_asymmetry(), HERMITICITY_TOL * max(1.0, total.max_abs())
+    if asym > tol:
         raise HermiticityError(
-            f"assembled sector matrix asymmetry {asym:.3e} exceeds {HERMITICITY_TOL:.1e}; "
+            f"assembled sector matrix asymmetry {asym:.3e} exceeds {tol:.1e}; "
             f"worst entries: {_worst_asymmetry_entries(total)}"
         )
     css, ssc_t = terms[TermId.CSS], terms[TermId.SSC].transpose()

@@ -53,7 +53,8 @@ class TwoBodyTensor:
     mode m on particle 1 and n on particle 2, and the ket with p on particle
     1 and q on particle 2.  Required symmetries: particle exchange
     ``T4[m, n, p, q] == T4[n, m, q, p]`` and Hermiticity
-    ``T4[m, n, p, q] == T4[p, q, m, n]``.
+    ``T4[m, n, p, q] == T4[p, q, m, n]``, each to ``1e-12 * max(1, max|T4|)``:
+    a rotated tensor carries roundoff relative to its largest entry.
     """
 
     t4: NDArray[np.float64]
@@ -63,13 +64,14 @@ class TwoBodyTensor:
         if t4.ndim != 4 or len(set(t4.shape)) != 1:
             raise ValueError(f"two-body tensor must have shape (M,M,M,M), got {t4.shape}")
         object.__setattr__(self, "t4", _readonly(t4))
-        exch = float(np.max(np.abs(t4 - t4.transpose(1, 0, 3, 2)))) if t4.size else 0.0
-        if exch > _EXCHANGE_TOL:
+        tol = _EXCHANGE_TOL * max(1.0, float(np.max(np.abs(t4), initial=0.0)))
+        exch = float(np.max(np.abs(t4 - t4.transpose(1, 0, 3, 2)), initial=0.0))
+        if exch > tol:
             raise ValueError(
                 f"two-body tensor violates particle-exchange symmetry by {exch:.3e}"
             )
-        herm = float(np.max(np.abs(t4 - t4.transpose(2, 3, 0, 1)))) if t4.size else 0.0
-        if herm > _EXCHANGE_TOL:
+        herm = float(np.max(np.abs(t4 - t4.transpose(2, 3, 0, 1)), initial=0.0))
+        if herm > tol:
             raise ValueError(f"two-body tensor violates Hermiticity by {herm:.3e}")
 
     @property

@@ -49,6 +49,9 @@ uses two closed forms of those expansions:
   the count of label permutations that fix one labeled product.  Each
   emission adds to its bra with that weight; no output product is built.
 
+The second-quantized side of the sweep is the fixed-N sector Hamiltonians
+its caller assembled, read as given: this module builds no second-quantized
+term, so it checks the very blocks the caller diagonalizes or writes.
 :func:`verify_sectors` folds the sweep's columns into a summary; the report's
 layout, with a row per checked element, belongs to ``cli verify``.
 """
@@ -78,8 +81,11 @@ from .algebra import (
     pair_interaction_ops,
     slot_labels,
 )
-from .fock import OccupationState, SectorBasis, enumerate_sector, normalization_constant
-from .hamiltonian import TermId, build_term, coefficient_tensors
+from .fock import OccupationState, SectorBasis, normalization_constant
+from .hamiltonian import SparseHamiltonian, TermId
+# Not called here, kept importable: perfbench wraps both until ROADMAP item 1 lands.
+from .fock import enumerate_sector  # noqa: F401
+from .hamiltonian import build_term  # noqa: F401
 from .modespace import CompositeSpectrum, ModeSpace
 
 EXPANSION_GUARD = 6
@@ -127,18 +133,6 @@ def expand_basis_state(state: OccupationState) -> FormalState:
             pos += 2
         products.append(FormalProduct(weight, tuple(factors)))
     return FormalState.collect(products)
-
-
-def labeled_product_weight(state: OccupationState) -> float:
-    """Weight of each labeled product in ``state``'s expansion: the
-    normalization constant times prod(n_m!) * prod(k_a! 2^k_a), the number of
-    label permutations that leave one labeled product unchanged."""
-    fixing = 1
-    for count in state.atoms:
-        fixing *= math.factorial(count)
-    for count in state.molecules:
-        fixing *= math.factorial(count) * 2**count
-    return normalization_constant(state) * fixing
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +475,26 @@ def _oracle_run(
     return np.concatenate(keys), np.concatenate(values)
 
 
-def _kets(basis: SectorBasis, digits: np.ndarray) -> list[tuple]:
+def _weights(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Two weights per state, from its normalization constant c, evaluated
+    once: c * prod(n_m!) * prod(k_a! 2^k_a), the weight of one labeled
+    product in its expansion (the product counts the label permutations
+    that fix it), and N! * c, the sum of the expansion's weights."""
+    c = np.array([normalization_constant(s) for s in basis.states])
+    fixing = [math.prod(map(math.factorial, s.atoms))
+              * math.prod(math.factorial(k) * 2**k for k in s.molecules) for s in basis.states]
+    return c * np.array(fixing, dtype=float), float(math.factorial(basis.constituents)) * c
+
+
+def _kets(basis: SectorBasis, digits: np.ndarray, weights: np.ndarray) -> list[tuple]:
     """Each label layout's kets of ``basis``, read from its occupation counts:
     their indices, factor modes, factor codes (``digits`` of the factors'
-    occupation columns) and weights.  A ket is applied as its
+    occupation columns) and ``weights``.  A ket is applied as its
     representative, the identity-permutation product of its expansion:
     atoms take labels 1.. in mode order, then each pair two consecutive
     labels, so the number of atoms fixes the layout.  The weight is N! times
     the normalization constant, the sum of the expansion's weights."""
-    occ, m, n, states = basis.occupations, basis.n_atom_modes, basis.constituents, basis.states
+    occ, m, n = basis.occupations, basis.n_atom_modes, basis.constituents
     n_atoms = occ[:, :m].sum(axis=1)
     out = []
     for a in np.unique(n_atoms).tolist():
@@ -500,25 +505,27 @@ def _kets(basis: SectorBasis, digits: np.ndarray) -> list[tuple]:
         layout = tuple((lab,) for lab in range(1, a + 1)) + tuple(
             (lab, lab + 1) for lab in range(a + 1, n, 2)
         )
-        weight = [math.factorial(n) * normalization_constant(states[i]) for i in kets.tolist()]
         out.append((layout, kets, np.where(columns < m, columns, columns - m), digits[columns],
-                    np.array(weight)))
+                    weights[kets]))
     return out
 
 
 def sweep_columns(
     space: ModeSpace,
     spectrum: CompositeSpectrum,
-    sector_numbers: Iterable[int],
+    hams: Iterable[SparseHamiltonian],
 ) -> Iterator[Column]:
-    """Every column of every term block on the given sectors, sq beside oracle.
+    """Every column of every term block of ``hams``, sq beside oracle.
 
-    Columns come for all seven terms, term by term within a sector, kets in
-    basis order.  Each term is applied to one labeled representative per
-    ket, the identity-permutation product weighted by N! times the
-    normalization constant (the sum of the expansion's weights).  This is
-    exact because the projected terms commute with relabeling and the bra
-    expansions are symmetric.
+    Each Hamiltonian is one fixed-N sector of ``space`` and ``spectrum``,
+    numbered by ``ham.basis.constituents`` (a basis without one raises
+    ValueError), and its sq values are read from ``ham.terms`` alone.
+    Columns come for all seven terms, term by term within a sector,
+    sectors in the order given, kets in basis order.  Each term is applied
+    to one labeled representative per ket, the identity-permutation product
+    weighted by N! times the normalization constant (the sum of the
+    expansion's weights).  This is exact because the projected terms
+    commute with relabeling and the bra expansions are symmetric.
 
     The oracle columns of one term are built for a run of :data:`RUN` kets
     at a time with array operations, read from :func:`_kets`: each plan
@@ -540,29 +547,14 @@ def sweep_columns(
     relabeled.  Each column is sparse (:class:`Column`): its rows join the
     rows sq stores and the bras the oracle adds to, read for the run as
     sorted (ket, bra) keys, and no list of the sector's dimension is built.
-
-    The second-quantized blocks are built once per term, on the union of the
-    distinct requested sectors, and each sector's block is read off as a
-    diagonal slice, bitwise the block :func:`build_term` gives on the sector
-    itself; repeated or unordered sector numbers are swept in the order
-    given.  Beyond those blocks nothing is kept from one run to the next,
-    so a consumer that does not keep the columns runs in memory that does
-    not grow with their number.
+    Nothing is kept from one run to the next, so a consumer that does not
+    keep the columns runs in memory that does not grow with their number.
     """
-    numbers = list(sector_numbers)
-    if not numbers:
-        return
     memo = _Memo(space, spectrum)
-    bases = {
-        n: enumerate_sector(n, space.n_modes, spectrum.n_composites)
-        for n in dict.fromkeys(numbers)
-    }
-    union = SectorBasis.union(*bases.values())
-    tensors = coefficient_tensors(space, spectrum)
-    union_blocks = {term: build_term(term, union, space, spectrum, tensors) for term in TermId}
-    starts = dict(zip(bases, np.cumsum([0, *(b.dim for b in bases.values())]).tolist()))
-    for n in numbers:
-        basis, lo = bases[n], starts[n]
+    for ham in hams:
+        basis, n = ham.basis, ham.basis.constituents
+        if n is None:
+            raise ValueError("the oracle sweeps fixed-N sectors, and this basis mixes N")
         names = [str(s) for s in basis.states]
         digits = _u64(_digits(n, space.n_modes, spectrum.n_composites))
         codes = basis.occupations.astype(np.uint64) @ digits
@@ -570,11 +562,11 @@ def sweep_columns(
         codes = codes[order]
         if np.any(codes[1:] == codes[:-1]):
             raise ValueError(f"occupation codes of sector {n} collide modulo 2**64")
-        w = np.array([labeled_product_weight(s) for s in basis.states])
-        sector = _Sector(_kets(basis, digits), codes, order, w)
+        w, ket_weights = _weights(basis)
+        sector = _Sector(_kets(basis, digits, ket_weights), codes, order, w)
         for term in TermId:
             # the block stored by column: ket j's entries are one slice
-            by_column = union_blocks[term].diagonal_block(lo, lo + basis.dim).transpose()
+            by_column = ham.terms[term].transpose()
             for a in range(0, basis.dim, RUN):
                 b = min(a + RUN, basis.dim)
                 keys, emitted = _oracle_run(term, sector, a, b, memo)
@@ -597,9 +589,10 @@ def sweep_columns(
 def verify_sectors(
     space: ModeSpace,
     spectrum: CompositeSpectrum,
-    sector_numbers: Iterable[int],
+    hams: Iterable[SparseHamiltonian],
 ) -> dict:
-    """Compare every term matrix element on full sectors against the oracle.
+    """Compare every term matrix element of the given fixed-N sector
+    Hamiltonians against the oracle.
 
     Folds :func:`sweep_columns` into ``{"max_abs_diff", "pairs_checked"}``:
     the largest difference over the rows each sparse column lists, since
@@ -608,7 +601,7 @@ def verify_sectors(
     """
     max_diff = 0.0
     checked = 0
-    for col in sweep_columns(space, spectrum, sector_numbers):
+    for col in sweep_columns(space, spectrum, hams):
         max_diff = max([max_diff, *col.diff])
         checked += len(col.bras)
     return {"max_abs_diff": max_diff, "pairs_checked": checked}

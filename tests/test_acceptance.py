@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from composite_bosons import cli
 from composite_bosons.fock import (
     OccupationState,
     SectorBasis,
@@ -97,7 +98,7 @@ def test_criterion_1_ladder_algebra():
 def test_criterion_2_oracle_equivalence(random_model):
     start = time.perf_counter()
     space, spectrum = random_model
-    summary = verify_sectors(space, spectrum, range(0, 5))
+    summary = verify_sectors(space, spectrum, cli._sector_hamiltonians(space, spectrum, 4))
     elapsed = time.perf_counter() - start
     print(
         f"criterion 2 detail: {summary['pairs_checked']} pairs, "

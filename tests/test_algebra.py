@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composite_bosons import algebra, oracle
+from composite_bosons import algebra, cli, oracle
 from composite_bosons.algebra import (
     Atom,
     ElementEngine,
@@ -374,7 +374,8 @@ def _sweep_tables(monkeypatch, space, spectrum):
         return table(left, ops, right, *args)
 
     monkeypatch.setattr(oracle, "fragment_table", recording)
-    assert verify_sectors(space, spectrum, range(6))["pairs_checked"] == 26110
+    hams = cli._sector_hamiltonians(space, spectrum, 5)
+    assert verify_sectors(space, spectrum, hams)["pairs_checked"] == 26110
     return tables
 
 

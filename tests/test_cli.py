@@ -165,9 +165,9 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
 def test_verify_streams_verification_text(tmp_path, capsys, doc, max_n):
     cfg = write_config(tmp_path, doc)
     space, spectrum = cli._solve(cli.load_config(json.dumps(doc)))
-    sectors = range(max_n + 1)
-    report = _dense_report(sweep_columns(space, spectrum, sectors),
-                           verify_sectors(space, spectrum, sectors))
+    hams = cli._sector_hamiltonians(space, spectrum, max_n)
+    report = _dense_report(sweep_columns(space, spectrum, hams),
+                           verify_sectors(space, spectrum, hams))
     want = cli.dump_json(report) + "\n"
     out = tmp_path / "out"
     assert cli.main(["verify", "--config", cfg, "--out-dir", str(out), "--max-n", str(max_n)]) == 0
@@ -326,6 +326,33 @@ def test_verify_sweeps_codes_past_2_64_in_an_even_base(tmp_path, capsys):
     assert summary["max_abs_diff"] <= 1e-10
 
 
+# eight modes with 26 composites bound by wells 400-550 deep, max|T4| = 605,
+# given with its own non-diagonal O: the rotation into O's eigenbasis leaves
+# 1.023e-12 of roundoff in T4's Hermiticity and in the assembled sectors',
+# inside both checks' tolerance relative to the largest entry
+_DEEP_SPACE = random_mode_space(8, seed=20240, attraction=tuple(np.linspace(400.0, 550.0, 26)))
+DEEP_WELLS = {
+    "model": {
+        "type": "explicit",
+        "O": _DEEP_SPACE.one_body.mat.tolist(),
+        "T4": np.asarray(_DEEP_SPACE.two_body.t4).ravel().tolist(),
+    },
+    "bound": {"policy": "lowest_k", "k": 26},
+}
+
+
+@pytest.mark.parametrize("argv", [["solve-pair"], ["verify", "--max-n", "2"]], ids=" ".join)
+def test_deep_wells_rotate_within_the_relative_tolerance(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, DEEP_WELLS)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--config", cfg, "--out-dir", str(out)]) == 0
+    assert "error" not in capsys.readouterr().err
+    if argv[0] == "verify":
+        summary = json.loads((out / "verification.json").read_text())["summary"]
+        assert summary["max_abs_diff"] <= 1e-10
+        assert summary["pairs_checked"] == 7 * (1 + 8**2 + (8 * 9 // 2 + 26) ** 2)
+
+
 def test_verify_memory_stays_below_half_the_report(tmp_path):
     # the rows are written as the sweep computes them, so the traced peak
     # does not grow with the report (a buffered report peaks at about 4x it)
@@ -343,7 +370,9 @@ def test_verify_memory_stays_below_half_the_report(tmp_path):
     assert peak < size / 2, (peak, size)
 
 
-def test_hermiticity_error_exit_code(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_hermiticity_error_exit_code(tmp_path, monkeypatch, capsys, command):
+    # verify sweeps the blocks assembled under the same checks as spectrum's
     from composite_bosons.hamiltonian import HermiticityError
 
     cfg = write_config(tmp_path, TWO_SITE)
@@ -352,15 +381,21 @@ def test_hermiticity_error_exit_code(tmp_path, monkeypatch, capsys):
         raise HermiticityError("assembled sector matrix asymmetry 1.000e-06 exceeds 1.0e-12")
 
     monkeypatch.setattr(cli, "assemble_hamiltonian", fake_assemble)
-    rc = cli.main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    rc = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: assembled sector matrix asymmetry")
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()  # the run stopped before writing
 
 
-@pytest.mark.parametrize("command", ["spectrum", "export-matrix"])
-def test_sectors_are_assembled_once_on_their_union(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["export-matrix"], ["verify", "--max-n", "2"], ["spectrum", "--max-n", "2"]],
+    ids=" ".join,
+)
+def test_sectors_are_assembled_once_on_their_union(tmp_path, monkeypatch, argv):
+    # one build per run: the oracle sweep reads the blocks the run assembled
     from composite_bosons import hamiltonian
 
     calls = {"assemble": [], "build_term": 0}
@@ -377,11 +412,40 @@ def test_sectors_are_assembled_once_on_their_union(tmp_path, monkeypatch, comman
     monkeypatch.setattr(cli, "assemble_hamiltonian", counting_assemble)
     monkeypatch.setattr(hamiltonian, "build_term", counting_build_term)
     cfg = write_config(tmp_path, TWO_SITE_CSV)
-    assert cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    assert cli.main([*argv, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
     [basis] = calls["assemble"]
     assert basis.constituents is None and basis.dim == 1 + 2 + 4  # sectors N = 0, 1, 2
     assert calls["build_term"] == 7
-    assert len(list((tmp_path / "o").glob("term_*_sector_*.csv"))) == 3 * 7
+    written = list((tmp_path / "o").glob("term_*_sector_*.csv"))
+    assert len(written) == (0 if argv[0] == "verify" else 3 * 7)
+
+
+def test_spectrum_verifies_past_n_max_without_solving_there(tmp_path, monkeypatch):
+    # --max-n above n_max: sectors 0..max-n are assembled once and swept, and
+    # only 0..n_max are solved and reported; the report is the plain run's
+    # plus the verification summary of the whole sweep
+    from composite_bosons import hamiltonian
+
+    built = []
+    build_term = hamiltonian.build_term
+
+    def recording_build_term(term, basis, *args, **kwargs):
+        built.append(basis.dim)
+        return build_term(term, basis, *args, **kwargs)
+
+    cfg = write_config(tmp_path, TWO_SITE_CSV)  # n_max 2
+    plain, verified = tmp_path / "plain", tmp_path / "verified"
+    assert cli.main(["spectrum", "--config", cfg, "--out-dir", str(plain)]) == 0
+    monkeypatch.setattr(hamiltonian, "build_term", recording_build_term)
+    assert cli.main(["spectrum", "--config", cfg, "--out-dir", str(verified), "--max-n", "4"]) == 0
+    assert built == [1 + 2 + 4 + 6 + 9] * 7  # sectors N = 0..4, on their union
+    report = json.loads((verified / "report.json").read_text())
+    assert [sector["n"] for sector in report["sectors"]] == [0, 1, 2]
+    space, spectrum = cli._solve(cli.load_config(json.dumps(TWO_SITE_CSV)))
+    want = verify_sectors(space, spectrum, cli._sector_hamiltonians(space, spectrum, 4))
+    assert report.pop("verification") == want
+    assert cli.dump_json(report) + "\n" == (plain / "report.json").read_text()
+    assert _files(verified, "*.csv") == _files(plain, "*.csv")
 
 
 def test_non_symmetric_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -618,7 +682,9 @@ def _dense_report(columns, summary):
 
 
 def _swept(space, spectrum, sectors):
-    return list(sweep_columns(space, spectrum, sectors)), verify_sectors(space, spectrum, sectors)
+    hams = cli._sector_hamiltonians(space, spectrum, max(sectors, default=0))
+    hams = [hams[n] for n in sectors]
+    return list(sweep_columns(space, spectrum, hams)), verify_sectors(space, spectrum, hams)
 
 
 def _two_site_sweep():

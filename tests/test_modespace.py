@@ -44,6 +44,25 @@ def test_tensor_invariants_rejected():
         TwoBodyTensor(bad2)
 
 
+@pytest.mark.parametrize(
+    "entry, message", [((0, 0, 1, 1), "Hermiticity"), ((0, 1, 0, 1), "particle-exchange")]
+)
+def test_two_body_symmetries_are_checked_relative_to_the_largest_entry(entry, message):
+    # a rotated tensor's roundoff scales with max|T4| (600 here): an entry
+    # off by 1e-13 of it (6e-11, past 1e-12 absolute) passes, 1e-6 does not
+    t4 = np.zeros((2, 2, 2, 2))
+    t4[0, 0, 0, 0] = -600.0
+    t4[0, 0, 1, 1] = t4[1, 1, 0, 0] = t4[0, 1, 0, 1] = t4[1, 0, 1, 0] = 100.0
+    for relative, refused in [(1e-13, False), (1e-6, True)]:
+        skewed = t4.copy()
+        skewed[entry] += 600.0 * relative
+        if refused:
+            with pytest.raises(ValueError, match=message):
+                TwoBodyTensor(skewed)
+        else:
+            TwoBodyTensor(skewed)
+
+
 def test_pair_hamiltonian_single_mode():
     o = np.array([[0.7]])
     t4 = np.full((1, 1, 1, 1), -0.3)

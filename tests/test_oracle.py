@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from composite_bosons import algebra, oracle
+from composite_bosons import algebra, cli, oracle
 from composite_bosons.algebra import (
     Atom,
     ElementEngine,
@@ -23,19 +24,52 @@ from composite_bosons.algebra import (
     labeled_matrix_element,
     pair_interaction_ops,
 )
-from composite_bosons.fock import OccupationState, enumerate_sector, normalization_constant
+from composite_bosons.fock import (
+    OccupationState,
+    SectorBasis,
+    enumerate_sector,
+    normalization_constant,
+)
 from composite_bosons.hamiltonian import TermId, assemble_hamiltonian
 from composite_bosons.modespace import BelowEdge, LowestK
 from composite_bosons.models import build_ring_model, random_mode_space
+from composite_bosons.numerics import SparseMatrix
 from composite_bosons.oracle import (
     apply_projected_term,
     expand_basis_state,
-    labeled_product_weight,
     oracle_matrix_element,
     verify_sectors,
 )
 
 R2 = math.sqrt(2.0)
+
+
+def labeled_product_weight(state):
+    # the weight of each labeled product in the state's expansion: the
+    # normalization constant times the number of label permutations that
+    # leave one labeled product unchanged, prod(n_m!) * prod(k_a! 2^k_a)
+    fixing = 1
+    for count in state.atoms:
+        fixing *= math.factorial(count)
+    for count in state.molecules:
+        fixing *= math.factorial(count) * 2**count
+    return normalization_constant(state) * fixing
+
+
+def _hams(space, spectrum, numbers):
+    # the assembled Hamiltonians of sectors ``numbers``, in the order given,
+    # read off the one assembly of sectors 0..max a run makes
+    numbers = list(numbers)
+    hams = cli._sector_hamiltonians(space, spectrum, max(numbers, default=0))
+    return [hams[n] for n in numbers]
+
+
+def _sweep(space, spectrum, numbers):
+    return oracle.sweep_columns(space, spectrum, _hams(space, spectrum, numbers))
+
+
+def _verify(space, spectrum, numbers):
+    return verify_sectors(space, spectrum, _hams(space, spectrum, numbers))
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +215,8 @@ def test_verify_sectors_two_site(two_site):
     # the summary folds the swept columns: the largest listed difference and
     # every (bra, ket) element of every term block
     space, spectrum = two_site
-    summary = verify_sectors(space, spectrum, range(0, 4))
-    columns = list(oracle.sweep_columns(space, spectrum, range(0, 4)))
+    summary = _verify(space, spectrum, range(0, 4))
+    columns = list(_sweep(space, spectrum, range(0, 4)))
     assert summary == {
         "max_abs_diff": max(d for col in columns for d in col.diff),
         "pairs_checked": sum(len(col.bras) for col in columns),
@@ -195,7 +229,7 @@ def test_verify_sectors_two_site(two_site):
 
 def test_verify_sectors_random_model_n3(random_model):
     space, spectrum = random_model
-    assert verify_sectors(space, spectrum, range(0, 4))["max_abs_diff"] <= 1e-10
+    assert _verify(space, spectrum, range(0, 4))["max_abs_diff"] <= 1e-10
 
 
 def test_n5_spot_check(two_site):
@@ -234,7 +268,7 @@ def test_verify_sectors_matches_full_expansion(model, request):
                     got = swept[(term.value, str(bra), str(ket))]
                     assert got == pytest.approx(want, abs=1e-12), (term, bra, ket)
                     compared += 1
-    assert compared == verify_sectors(space, spectrum, range(0, 5))["pairs_checked"] == len(swept)
+    assert compared == _verify(space, spectrum, range(0, 5))["pairs_checked"] == len(swept)
 
 
 def _read_kets(basis, digits):
@@ -242,7 +276,9 @@ def _read_kets(basis, digits):
     # (layout, factor modes, factor codes, weight)
     return {
         i: (layout, tuple(m), c, w)
-        for layout, kets, modes, codes, weight in oracle._kets(basis, digits)
+        for layout, kets, modes, codes, weight in oracle._kets(
+            basis, digits, oracle._weights(basis)[1]
+        )
         for i, m, c, w in zip(kets.tolist(), modes.tolist(), codes.tolist(), weight.tolist())
     }
 
@@ -251,7 +287,7 @@ def _swept_oracle(space, spectrum, sectors):
     # the oracle value of every (term, bra, ket) the sweep checks; each
     # column is +0.0 at the rows it does not list
     swept = {}
-    for col in oracle.sweep_columns(space, spectrum, sectors):
+    for col in _sweep(space, spectrum, sectors):
         listed = dict(zip(col.rows, col.oracle))
         for i, bra in enumerate(col.bras):
             swept[col.term, bra, col.ket] = listed.get(i, 0.0)
@@ -355,7 +391,7 @@ def test_verify_sectors_columns_are_the_collected_ones(model, request):
                     got = swept[(term.value, str(bra), str(ket))]
                     assert abs(got - want) <= tol, (term, bra, ket, got, want)
                     compared += 1
-    assert compared == verify_sectors(space, spectrum, range(0, 6))["pairs_checked"] == len(swept)
+    assert compared == _verify(space, spectrum, range(0, 6))["pairs_checked"] == len(swept)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -366,7 +402,7 @@ def test_sq_matches_oracle_on_random_models(seed, n_modes, k):
     space = random_mode_space(n_modes, seed, attraction=(40.0, 55.0)[:k])
     assume(space.solve_composites(BelowEdge()).n_composites >= k)  # the k-th state is bound
     spectrum = space.solve_composites(LowestK(k))
-    summary = verify_sectors(space, spectrum, range(4))
+    summary = _verify(space, spectrum, range(4))
     assert summary["max_abs_diff"] <= 1e-10, summary
 
 
@@ -395,7 +431,7 @@ def test_verify_sectors_contracts_each_fragment_once(random_model, monkeypatch):
     # is evaluated on its own
     space, spectrum = random_model
     calls = _recording_tables(monkeypatch)
-    assert verify_sectors(space, spectrum, range(0, 6))["pairs_checked"] == 26_110
+    assert _verify(space, spectrum, range(0, 6))["pairs_checked"] == 26_110
     assert calls
     assert len(set(calls)) == len(calls)
 
@@ -421,7 +457,7 @@ def test_verify_sectors_builds_each_shape_table_once(random_model, monkeypatch):
     # sweep meets 9 shapes, with 11 left structures among them
     space, spectrum = random_model
     calls = _recording_tables(monkeypatch)
-    assert verify_sectors(space, spectrum, range(0, 6))["pairs_checked"] == 26_110
+    assert _verify(space, spectrum, range(0, 6))["pairs_checked"] == 26_110
     shapes = [_renumbered(*call) for call in calls]
     assert len(shapes) == len(set(shapes)) == 11
 
@@ -597,17 +633,19 @@ def test_verify_sectors_memo_does_not_outlive_a_call(two_site, random_model):
         "import json, sys\n"
         "from composite_bosons.modespace import LowestK\n"
         "from composite_bosons.models import random_mode_space\n"
+        "from composite_bosons.cli import _sector_hamiltonians\n"
         "from composite_bosons.oracle import sweep_columns\n"
         "space = random_mode_space(3, seed=20240, attraction=(40.0, 55.0))\n"
-        "columns = sweep_columns(space, space.solve_composites(LowestK(2)), range(0, 4))\n"
+        "spectrum = space.solve_composites(LowestK(2))\n"
+        "columns = sweep_columns(space, spectrum, _sector_hamiltonians(space, spectrum, 3))\n"
         "json.dump([list(col) for col in columns], sys.stdout)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    list(oracle.sweep_columns(*two_site, range(0, 4)))
-    columns = oracle.sweep_columns(*random_model, range(0, 4))
+    list(_sweep(*two_site, range(0, 4)))
+    columns = _sweep(*random_model, range(0, 4))
     assert json.dumps([list(col) for col in columns]) == done.stdout
 
 
@@ -624,7 +662,33 @@ def test_verify_sectors_detects_missing_scsc_exchange(random_model, monkeypatch)
             yield right, ops, lefts
 
     monkeypatch.setattr(oracle, "_term_blueprints", broken)
-    assert verify_sectors(space, spectrum, range(0, 4))["max_abs_diff"] > 1e-10
+    assert _verify(space, spectrum, range(0, 4))["max_abs_diff"] > 1e-10
+
+
+def test_verify_sectors_detects_a_moved_sq_entry(random_model):
+    # an sq-side fault: the sweep reads the blocks it is given, so one stored
+    # SCSC entry of an assembled sector moved by 1e-9 shows as that difference
+    space, spectrum = random_model
+    [ham] = _hams(space, spectrum, [3])
+    assert verify_sectors(space, spectrum, [ham])["max_abs_diff"] < 1e-12
+    block = ham.terms[TermId.SCSC]
+    data = block.data.copy()
+    data[np.argmax(np.abs(data))] += 1e-9
+    moved = SparseMatrix(block.dim, block.indptr, block.indices, data)
+    faulty = dataclasses.replace(ham, terms={**ham.terms, TermId.SCSC: moved})
+    summary = verify_sectors(space, spectrum, [faulty])
+    assert summary["max_abs_diff"] == pytest.approx(1e-9, rel=1e-3)
+    assert summary["max_abs_diff"] > 1e-10
+
+
+def test_sweep_columns_refuses_a_basis_without_a_fixed_n(random_model):
+    # a union of sectors has no one constituent number to sweep
+    space, spectrum = random_model
+    bases = [enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in (2, 3)]
+    union = assemble_hamiltonian(SectorBasis.union(*bases), space, spectrum)
+    assert union.basis.constituents is None
+    with pytest.raises(ValueError, match="fixed-N"):
+        next(oracle.sweep_columns(space, spectrum, [union]))
 
 
 def test_closed_forms_match_expansion(random_model, ring6):
@@ -638,6 +702,7 @@ def test_closed_forms_match_expansion(random_model, ring6):
             digits = oracle._digits(n, space.n_modes, spectrum.n_composites)
             basis = enumerate_sector(n, space.n_modes, spectrum.n_composites)
             read = _read_kets(basis, oracle._u64(digits))
+            bra_weights = oracle._weights(basis)[0]
             for j, state in enumerate(basis.states):
                 products = expand_basis_state(state).products
                 layout, modes, codes, ket_weight = read[j]
@@ -646,6 +711,7 @@ def test_closed_forms_match_expansion(random_model, ring6):
                 counts = state.atoms + state.molecules
                 assert sum(codes) == sum(c * d for c, d in zip(counts, digits)), state
                 weight = labeled_product_weight(state)
+                assert bra_weights[j] == weight, state
                 for p in products:
                     assert p.weight == pytest.approx(weight, rel=1e-14, abs=0.0), state
                 total = math.factorial(n) * normalization_constant(state)
@@ -703,7 +769,7 @@ def _assert_per_emission_sums_bitwise(space, spectrum, sectors):
         for j, s in enumerate(enumerate_sector(n, space.n_modes, spectrum.n_composites).states)
     }
     listed = cancelled = 0
-    for col in oracle.sweep_columns(space, spectrum, sectors):
+    for col in _sweep(space, spectrum, sectors):
         want = references[col.sector][col.term, kets[col.sector, col.ket]]
         assert set(want) <= set(col.rows), (col.term, col.ket)
         got = [v.hex() for v in col.oracle]
@@ -741,7 +807,7 @@ def test_sweep_takes_occupation_codes_past_2_64(wide_model):
     assert len(np.unique(occupations @ even)) < len(occupations)
     assert len(np.unique(occupations @ oracle._u64(digits))) == len(occupations)
     _assert_per_emission_sums_bitwise(space, spectrum, [n])
-    summary = verify_sectors(space, spectrum, [n])
+    summary = _verify(space, spectrum, [n])
     assert summary["pairs_checked"] == 7 * len(occupations) ** 2
     assert summary["max_abs_diff"] <= 1e-10
 
@@ -752,7 +818,7 @@ def test_occupation_codes_colliding_modulo_2_64_raise(random_model, monkeypatch)
     monkeypatch.setattr(
         oracle, "_digits", lambda n, m, a: [(n + 1) ** d * 2**64 + 1 for d in range(m + a)]
     )
-    columns = oracle.sweep_columns(*random_model, [0, 2])
+    columns = _sweep(*random_model, [0, 2])
     assert len(list(itertools.islice(columns, 7))) == 7  # sector 0 has one state
     with pytest.raises(ValueError, match=r"codes of sector 2 collide modulo 2\*\*64"):
         next(columns)
@@ -760,21 +826,22 @@ def test_occupation_codes_colliding_modulo_2_64_raise(random_model, monkeypatch)
 
 def test_verify_sectors_full_sweep_n6(random_model):
     space, spectrum = random_model
-    summary = verify_sectors(space, spectrum, [6])
+    summary = _verify(space, spectrum, [6])
     assert summary["pairs_checked"] == 7 * 80**2 == 44_800
     assert summary["max_abs_diff"] <= 1e-10
 
 
 @pytest.mark.parametrize("numbers", [[2, 2], [3, 1], [4, 0, 2], []])
 def test_sweep_columns_takes_sectors_in_the_order_given(random_model, numbers):
-    # the sq blocks come off one union of the distinct sectors; each column is
-    # still the one a sweep of its sector alone gives, and its sq values are
-    # bitwise the sector's own build_term column
+    # the sectors are swept in the order their Hamiltonians come; each column
+    # is the one a sweep of its sector alone gives, and its sq values, read
+    # off the assembly of sectors 0..max, are bitwise the sector's own
+    # build_term column
     from composite_bosons.hamiltonian import build_term
 
     space, spectrum = random_model
-    got = list(oracle.sweep_columns(space, spectrum, iter(numbers)))
-    want = [col for n in numbers for col in oracle.sweep_columns(space, spectrum, [n])]
+    got = list(oracle.sweep_columns(space, spectrum, iter(_hams(space, spectrum, numbers))))
+    want = [col for n in numbers for col in _sweep(space, spectrum, [n])]
     assert got == want
     bases = {n: enumerate_sector(n, space.n_modes, spectrum.n_composites) for n in numbers}
     assert [col.sector for col in got] == [n for n in numbers for _ in range(7 * bases[n].dim)]
@@ -809,7 +876,7 @@ def test_sweep_columns_are_sparse(model, request):
         for n in range(6)
         for term in TermId
     }
-    for col in oracle.sweep_columns(space, spectrum, range(6)):
+    for col in _sweep(space, spectrum, range(6)):
         block, j = blocks[col.sector, col.term], col.bras.index(col.ket)
         assert col.rows == sorted(set(col.rows))
         by_column = block.transpose()
@@ -820,5 +887,5 @@ def test_sweep_columns_are_sparse(model, request):
         assert np.array_equal(_dense(col, col.sq).view(np.int64), want.view(np.int64))
         if col.sector == 0:
             assert col.rows == []
-    summary = verify_sectors(space, spectrum, [0])
+    summary = _verify(space, spectrum, [0])
     assert summary == {"max_abs_diff": 0.0, "pairs_checked": 7}
