@@ -301,20 +301,17 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
     # sectors verified past n_max are assembled with the rest, not solved
     hams = _sector_hamiltonians(space, spectrum, max(config.n_max, verify_max_n or 0))
     solved = hams[: config.n_max + 1]
-    sectors = []
-    sector_eigs: dict[int, list[float]] = {}
-    for n, ham in enumerate(solved):
-        k = min(ham.basis.dim, _EIGENVALUES_PER_SECTOR)
-        eigs = [float(v) for v in sparse_lowest_eigen(ham.total, k)]
-        sector_eigs[n] = eigs
-        sectors.append(
-            {
-                "n": n,
-                "dimension": ham.basis.dim,
-                "lowest_eigenvalues": eigs,
-                "term_norms": {t.value: ham.terms[t].max_abs() for t in TermId},
-            }
-        )
+    sectors = [
+        {
+            "n": n,
+            "dimension": ham.basis.dim,
+            "lowest_eigenvalues": sparse_lowest_eigen(
+                ham.total, min(ham.basis.dim, _EIGENVALUES_PER_SECTOR)
+            ).tolist(),
+            "term_norms": {t.value: ham.terms[t].max_abs() for t in TermId},
+        }
+        for n, ham in enumerate(solved)
+    ]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": _config_echo(config),
@@ -327,7 +324,7 @@ def _cmd_spectrum(config: ModelConfig, out_dir: Path, verify_max_n: int | None) 
         report["verification"] = summary
         status = _verify_status(summary)
         _print_verified(summary)
-    write_report(report, sector_eigs, solved if "csv" in config.output.formats else None, out_dir)
+    write_report(report, solved if "csv" in config.output.formats else None, out_dir)
     sys.stderr.write(f"spectrum finished in {time.perf_counter() - started:.3f}s\n")
     return status
 
@@ -354,17 +351,14 @@ def _check_max_n(max_n: int) -> None:
         raise ConfigError("--max-n must be nonnegative")
 
 
-def write_report(
-    report: dict,
-    sector_eigs: dict[int, list[float]],
-    hams: Sequence[SparseHamiltonian] | None,
-    out_dir: Path,
-) -> None:
-    """Write report.json plus per-sector CSVs, the term CSVs of ``hams``
-    (sector N at index N) if given; byte-identical across reruns."""
+def write_report(report: dict, hams: Sequence[SparseHamiltonian] | None, out_dir: Path) -> None:
+    """Write report.json, the eigenvalue CSV of each of its sectors and the
+    term CSVs of ``hams`` (sector N at index N) if given; byte-identical
+    across reruns."""
     _write_text(out_dir / "report.json", dump_json(report) + "\n")
-    for n, eigs in sector_eigs.items():
-        _write_text(out_dir / f"sector_{n}_eigs.csv", _sector_csv(n, eigs))
+    for sector in report["sectors"]:
+        n = sector["n"]
+        _write_text(out_dir / f"sector_{n}_eigs.csv", _sector_csv(n, sector["lowest_eigenvalues"]))
     for n, ham in enumerate(hams or ()):
         _write_term_csvs(out_dir, n, ham)
 
@@ -430,8 +424,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise
         return EXIT_CONFIG  # argparse has written the usage error to stderr
     try:
-        config_text = Path(args.config).read_text()
-    except OSError as exc:
+        config_text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read config: {exc}\n")
         return EXIT_CONFIG
     try:
@@ -461,6 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         FloatingPointError,
         HermiticityError,
         NonSymmetricError,
+        np.linalg.LinAlgError,  # a ValueError, but a numerical failure
     ) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL

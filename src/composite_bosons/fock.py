@@ -161,13 +161,6 @@ class SectorBasis:
         m = self.n_atom_modes
         return tuple(OccupationState(tuple(r[:m]), tuple(r[m:])) for r in self.occupations.tolist())
 
-    @cached_property
-    def _index(self) -> dict[OccupationState, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def position(self, state: OccupationState) -> int | None:
-        return self._index.get(state)
-
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]

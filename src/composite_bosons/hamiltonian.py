@@ -52,9 +52,7 @@ from .fock import AnnihilatorLadder, SectorBasis, Species
 # Not called here, kept importable: perfbench wraps it to count ladder calls.
 from .fock import apply_ladder  # noqa: F401
 from .modespace import CompositeSpectrum, ModeSpace
-from .numerics import SparseMatrix, row_sorted_csr
-
-HERMITICITY_TOL = 1e-12
+from .numerics import SparseMatrix, row_sorted_csr, symmetry_tolerance
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -279,16 +277,16 @@ def assemble_hamiltonian(
 
     The blocks are canonical, so the total is their CSR sum, added left to
     right in :class:`TermId` order and canonicalized once.  Hermiticity of
-    the sum (to ``HERMITICITY_TOL * max(1, max|H|)``: roundoff scales with
-    the entries) and the bitwise adjoint pairing ``CSS == SSC^T`` are
-    asserted, not assumed; a Hermiticity failure names the worst entries by
-    their indices in ``basis``, which on a union basis are union indices.
+    the sum (to :func:`~composite_bosons.numerics.symmetry_tolerance`) and
+    the bitwise adjoint pairing ``CSS == SSC^T`` are asserted, not assumed;
+    a Hermiticity failure names the worst entries by their indices in
+    ``basis``, which on a union basis are union indices.
     """
     if tensors is None:
         tensors = coefficient_tensors(space, spectrum)
     terms = {term: build_term(term, basis, space, spectrum, tensors) for term in TermId}
     total = SparseMatrix.from_csr(reduce(operator.add, (b.to_csr() for b in terms.values())))
-    asym, tol = total.max_abs_asymmetry(), HERMITICITY_TOL * max(1.0, total.max_abs())
+    asym, tol = total.max_abs_asymmetry(), symmetry_tolerance(total.max_abs())
     if asym > tol:
         raise HermiticityError(
             f"assembled sector matrix asymmetry {asym:.3e} exceeds {tol:.1e}; "

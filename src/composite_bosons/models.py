@@ -211,6 +211,8 @@ def load_config(text: str) -> ModelConfig:
         ) from exc
     except ValueError as exc:  # e.g. an integer literal past the digit limit
         raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("configuration is not valid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     _require_keys(doc, _TOP_KEYS, "top level")

@@ -16,11 +16,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import dense_symmetric_eigen, require_symmetric
+from .numerics import asymmetry, dense_symmetric_eigen, require_symmetric
 
 Matrix = NDArray[np.float64]
 
-_EXCHANGE_TOL = 1e-12
 _ORTHONORMALITY_TOL = 1e-10
 
 
@@ -53,8 +52,9 @@ class TwoBodyTensor:
     mode m on particle 1 and n on particle 2, and the ket with p on particle
     1 and q on particle 2.  Required symmetries: particle exchange
     ``T4[m, n, p, q] == T4[n, m, q, p]`` and Hermiticity
-    ``T4[m, n, p, q] == T4[p, q, m, n]``, each to ``1e-12 * max(1, max|T4|)``:
-    a rotated tensor carries roundoff relative to its largest entry.
+    ``T4[m, n, p, q] == T4[p, q, m, n]``, each to
+    :func:`~composite_bosons.numerics.symmetry_tolerance`: a rotated tensor
+    carries roundoff relative to its largest entry.
     """
 
     t4: NDArray[np.float64]
@@ -64,13 +64,12 @@ class TwoBodyTensor:
         if t4.ndim != 4 or len(set(t4.shape)) != 1:
             raise ValueError(f"two-body tensor must have shape (M,M,M,M), got {t4.shape}")
         object.__setattr__(self, "t4", _readonly(t4))
-        tol = _EXCHANGE_TOL * max(1.0, float(np.max(np.abs(t4), initial=0.0)))
-        exch = float(np.max(np.abs(t4 - t4.transpose(1, 0, 3, 2)), initial=0.0))
+        exch, tol = asymmetry(t4, t4.transpose(1, 0, 3, 2))
         if exch > tol:
             raise ValueError(
                 f"two-body tensor violates particle-exchange symmetry by {exch:.3e}"
             )
-        herm = float(np.max(np.abs(t4 - t4.transpose(2, 3, 0, 1)), initial=0.0))
+        herm, tol = asymmetry(t4, t4.transpose(2, 3, 0, 1))
         if herm > tol:
             raise ValueError(f"two-body tensor violates Hermiticity by {herm:.3e}")
 
@@ -204,8 +203,8 @@ class CompositeSpectrum:
                     "composite energies must lie strictly below the continuum edge "
                     f"{self.continuum_edge!r}"
                 )
-            sym = float(np.max(np.abs(coeffs - coeffs.transpose(0, 2, 1))))
-            if sym > _EXCHANGE_TOL:
+            sym, tol = asymmetry(coeffs, coeffs.transpose(0, 2, 1))
+            if sym > tol:
                 raise ValueError(f"pair coefficients not symmetric: {sym:.3e}")
             gram = np.einsum("apq,bpq->ab", coeffs, coeffs)
             err = float(np.max(np.abs(gram - np.eye(coeffs.shape[0]))))

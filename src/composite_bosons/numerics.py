@@ -13,7 +13,6 @@ scipy copies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,18 +34,35 @@ class NonSymmetricError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Raised when the iterative eigensolver fails to converge."""
+    """Raised when the iterative eigensolver fails: no convergence, or an
+    ARPACK error such as a start vector it reduces to zero."""
 
 
-def require_symmetric(mat: Matrix, tol: float = SYMMETRY_TOL, name: str = "matrix") -> None:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+def symmetry_tolerance(largest: float) -> float:
+    """The rule of every symmetry, exchange and Hermiticity check: ``A`` and
+    its image ``B`` agree when ``max|A - B| <= SYMMETRY_TOL * max(1, max|A|)``,
+    ``largest`` being ``max|A|``, since roundoff scales with the entries."""
+    return SYMMETRY_TOL * max(1.0, largest)
+
+
+def asymmetry(a: NDArray, b: NDArray) -> tuple[float, float]:
+    """``max|a - b|`` and the :func:`symmetry_tolerance` it is held to."""
+    diff = float(np.max(np.abs(a - b), initial=0.0))
+    return diff, symmetry_tolerance(float(np.max(np.abs(a), initial=0.0)))
+
+
+def _check_symmetric(asym: float, tol: float, name: str) -> None:
     if asym > tol:
         raise NonSymmetricError(
             f"{name} is not symmetric: max |A - A^T| = {asym:.3e} exceeds {tol:.1e}"
         )
+
+
+def require_symmetric(mat: Matrix, name: str = "matrix") -> None:
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {mat.shape}")
+    _check_symmetric(*asymmetry(mat, mat.T), name)
 
 
 def _fix_signs(vectors: Matrix) -> Matrix:
@@ -82,8 +98,8 @@ def dense_symmetric_eigen(mat: Matrix) -> tuple[Matrix, Matrix]:
     """Full eigendecomposition of a real symmetric matrix.
 
     Returns ``(values, vectors)`` with values ascending and deterministic
-    eigenvector signs/ordering.  Rejects input whose asymmetry exceeds
-    ``SYMMETRY_TOL``.
+    eigenvector signs/ordering.  Rejects input that fails
+    :func:`symmetry_tolerance`.
     """
     m = np.asarray(mat, dtype=float)
     require_symmetric(m)
@@ -214,15 +230,11 @@ class SparseMatrix:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data))) if self.nnz else 0.0
 
-    @cached_property
-    def _asymmetry(self) -> float:
+    def max_abs_asymmetry(self) -> float:
+        """max |A - A^T|."""
         csr = self.to_csr()
         diff = csr - csr.T
         return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-
-    def max_abs_asymmetry(self) -> float:
-        """max |A - A^T|, computed once per matrix."""
-        return self._asymmetry
 
     def to_coordinate_csv(self) -> str:
         # each distinct value is formatted once; keyed by its bits, so -0.0
@@ -243,8 +255,9 @@ def sparse_lowest_eigen(m: SparseMatrix, k: int) -> Matrix:
     Uses an ARPACK Krylov iteration (full reorthogonalization, fixed-seed
     start vector); dimensions too small for ARPACK's ``k < dim - 1``
     requirement are solved densely, which agrees within the documented
-    1e-8 tolerance.  Both paths reject asymmetry above ``SYMMETRY_TOL``;
-    the dense one checks the dense matrix and builds no CSR.
+    1e-8 tolerance.  Both paths reject a matrix that fails
+    :func:`symmetry_tolerance`; the dense one checks the dense matrix and
+    builds no CSR.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -255,16 +268,12 @@ def sparse_lowest_eigen(m: SparseMatrix, k: int) -> Matrix:
     if m.dim <= _DENSE_FALLBACK_DIM or k >= m.dim - 1:
         values, _ = dense_symmetric_eigen(m.to_dense())
         return values[:k].copy()
-    asym = m.max_abs_asymmetry()
-    if asym > SYMMETRY_TOL:
-        raise NonSymmetricError(
-            f"sparse matrix is not symmetric: max |A - A^T| = {asym:.3e}"
-        )
+    _check_symmetric(m.max_abs_asymmetry(), symmetry_tolerance(m.max_abs()), "sparse matrix")
     rng = np.random.default_rng(_START_VECTOR_SEED)
     v0 = rng.standard_normal(m.dim)
     v0 /= np.linalg.norm(v0)
     try:
         values = spla.eigsh(m.to_csr(), k=k, which="SA", v0=v0, return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:  # pragma: no cover - hard to trigger
+    except spla.ArpackError as exc:  # no convergence, or ARPACK's own error codes
         raise EigenConvergenceError(str(exc)) from exc
     return np.sort(values)

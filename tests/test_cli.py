@@ -328,8 +328,9 @@ def test_verify_sweeps_codes_past_2_64_in_an_even_base(tmp_path, capsys):
 
 # eight modes with 26 composites bound by wells 400-550 deep, max|T4| = 605,
 # given with its own non-diagonal O: the rotation into O's eigenbasis leaves
-# 1.023e-12 of roundoff in T4's Hermiticity and in the assembled sectors',
-# inside both checks' tolerance relative to the largest entry
+# 1.023e-12 of roundoff in T4's Hermiticity and in the assembled sectors'
+# (sector 2's total reaches max |H| = 1.34e3), inside every check's
+# tolerance relative to the largest entry, the eigensolver's included
 _DEEP_SPACE = random_mode_space(8, seed=20240, attraction=tuple(np.linspace(400.0, 550.0, 26)))
 DEEP_WELLS = {
     "model": {
@@ -337,11 +338,14 @@ DEEP_WELLS = {
         "O": _DEEP_SPACE.one_body.mat.tolist(),
         "T4": np.asarray(_DEEP_SPACE.two_body.t4).ravel().tolist(),
     },
+    "truncation": {"n_max": 2},
     "bound": {"policy": "lowest_k", "k": 26},
 }
 
 
-@pytest.mark.parametrize("argv", [["solve-pair"], ["verify", "--max-n", "2"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [["solve-pair"], ["verify", "--max-n", "2"], ["spectrum"]], ids=" ".join
+)
 def test_deep_wells_rotate_within_the_relative_tolerance(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, DEEP_WELLS)
     out = tmp_path / "out"
@@ -351,6 +355,14 @@ def test_deep_wells_rotate_within_the_relative_tolerance(tmp_path, capsys, argv)
         summary = json.loads((out / "verification.json").read_text())["summary"]
         assert summary["max_abs_diff"] <= 1e-10
         assert summary["pairs_checked"] == 7 * (1 + 8**2 + (8 * 9 // 2 + 26) ** 2)
+    if argv[0] == "spectrum":
+        sectors = json.loads((out / "report.json").read_text())["sectors"]
+        space, spectrum = cli._solve(cli.load_config(json.dumps(DEEP_WELLS)))
+        hams = cli._sector_hamiltonians(space, spectrum, 2)
+        assert hams[2].basis.dim > 32  # the sparse solver's path
+        for sector, ham in zip(sectors, hams, strict=True):
+            want = np.linalg.eigvalsh(ham.total.to_dense())[: len(sector["lowest_eigenvalues"])]
+            assert np.allclose(sector["lowest_eigenvalues"], want, rtol=0.0, atol=1e-8)
 
 
 def test_verify_memory_stays_below_half_the_report(tmp_path):
@@ -446,6 +458,27 @@ def test_spectrum_verifies_past_n_max_without_solving_there(tmp_path, monkeypatc
     assert report.pop("verification") == want
     assert cli.dump_json(report) + "\n" == (plain / "report.json").read_text()
     assert _files(verified, "*.csv") == _files(plain, "*.csv")
+
+
+# ring6 with every energy scaled by 1e-14: each entry falls below the drop
+# tolerance, so ARPACK is handed a zero matrix and reports its start vector
+# as zero; a 1e308 hopping overflows the pair solve
+TINY_RING6 = {"model": {**RING6["model"], "t": 1e-14, "U": -20e-14}}
+HUGE_HOPPING = {"model": {**RING6["model"], "t": 1e308}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [(TINY_RING6, "ARPACK error -9"), (HUGE_HOPPING, "Eigenvalues did not converge")],
+    ids=["arpack-error", "lapack-error"],
+)
+def test_eigensolver_errors_are_numerical_failures(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, doc)
+    rc = cli.main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("numerical failure: ") and message in err and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_symmetric_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -565,11 +598,25 @@ def test_help_exits_0(capsys):
     assert "--max-n" in capsys.readouterr().out
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model":{"type":"ring","sites":1,"t":1.0,"U":-4.0}}')
     assert cli.main(["solve-pair", "--config", str(bad)]) == 1
     assert cli.main(["solve-pair", "--config", str(tmp_path / "missing.json")]) == 1
+    capsys.readouterr()
+    # a file that is not UTF-8, and JSON nested past the decoder's recursion
+    # limit, used to escape as tracebacks
+    not_utf8 = json.dumps({**TWO_SITE, "output": {"dir": "\xe9"}}, ensure_ascii=False)
+    nested = "[" * 100_000 + "]" * 100_000
+    for content, message in (
+        (not_utf8.encode("latin-1"), "cannot read config: "),
+        (nested.encode(), "configuration is not valid JSON"),
+    ):
+        bad.write_bytes(content)
+        assert cli.main(["solve-pair", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 TWO_SITE_EXPLICIT = {"O": [[0.0, -1.0], [-1.0, 0.0]], "T4": [-4.0] + [0.0] * 14 + [-4.0]}

@@ -208,7 +208,7 @@ def test_union_basis():
     u = SectorBasis.union(b2, b3)
     assert u.constituents is None
     assert u.dim == b2.dim + b3.dim
-    assert u.position(b3.states[0]) == b2.dim
+    assert u.states.index(b3.states[0]) == b2.dim
     # the rows are kept in the order given; a repeated sector is a duplicate
     u = SectorBasis.union(b3, b1, b2)
     want = np.concatenate([b3.occupations, b1.occupations, b2.occupations])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from composite_bosons import hamiltonian
 from composite_bosons.fock import SectorBasis, enumerate_sector, ladder_matrix
 from composite_bosons.hamiltonian import (
-    HERMITICITY_TOL,
     HermiticityError,
     TermId,
     assemble_hamiltonian,
@@ -20,7 +19,7 @@ from composite_bosons.hamiltonian import (
 )
 from composite_bosons.modespace import BelowEdge, LowestK, mode_space
 from composite_bosons.models import build_ring_model, random_mode_space
-from composite_bosons.numerics import SparseMatrix
+from composite_bosons.numerics import SYMMETRY_TOL, SparseMatrix
 
 R2 = math.sqrt(2.0)
 
@@ -397,11 +396,11 @@ def test_ring6_n6_sector_assembles():
     basis = enumerate_sector(6, space.n_modes, spectrum.n_composites)
     ham = assemble_hamiltonian(basis, space, spectrum)
     assert basis.dim == 1715
-    assert ham.total.max_abs_asymmetry() <= HERMITICITY_TOL
+    assert ham.total.max_abs_asymmetry() <= SYMMETRY_TOL
     for term in TermId:
         block = ham.terms[term].to_csr()
         if term not in (TermId.CSS, TermId.SSC):
-            assert abs(block - block.T).max() <= HERMITICITY_TOL, term
+            assert abs(block - block.T).max() <= SYMMETRY_TOL, term
 
 
 def test_asymmetry_report_stays_sparse(random_model, monkeypatch):

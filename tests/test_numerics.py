@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_bosons.numerics import (
+    EigenConvergenceError,
     NonSymmetricError,
     SparseMatrix,
     dense_symmetric_eigen,
@@ -197,6 +198,30 @@ def test_sparse_rejects_asymmetric():
         sparse_lowest_eigen(m, 1)
 
 
+@pytest.mark.parametrize("dim", [3, 40], ids=["dense", "sparse"])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_symmetry_rule_is_relative_to_the_largest_entry(dim, factor):
+    # entries up to 1e3 may be 1e-9 apart: 0.9 of that passes on both
+    # solver paths, 1.1 of it fails on both
+    mat = np.diag(np.linspace(-1e3, 1e3, dim)) + np.diag(np.full(dim - 1, 0.5), 1)
+    mat += np.triu(mat, 1).T
+    mat[1, 0] += factor * 1e-12 * 1e3
+    m = sparse_from_dense(mat)
+    assert m.max_abs() == 1e3
+    if factor < 1.0:
+        got = sparse_lowest_eigen(m, 2)
+        assert np.allclose(got, np.linalg.eigvalsh(mat)[:2], rtol=0.0, atol=1e-8)
+    else:
+        with pytest.raises(NonSymmetricError, match=r"exceeds 1\.0e-09"):
+            sparse_lowest_eigen(m, 2)
+
+
+def test_arpack_error_is_a_convergence_error():
+    # ARPACK reports a start vector that its zero matrix maps to zero
+    with pytest.raises(EigenConvergenceError, match="ARPACK error -9"):
+        sparse_lowest_eigen(SparseMatrix.zero(40), 2)
+
+
 def test_coordinate_csv_format():
     m = SparseMatrix.from_triples(2, [0, 1], [1, 0], [0.5, 0.5])
     text = m.to_coordinate_csv()
@@ -275,15 +300,13 @@ def test_transpose_and_csr_canonicalizer_store_like_from_triples(dim, triples, s
     assert same(SparseMatrix.from_csr(csr), SparseMatrix.from_triples(dim, r, c, v))
 
 
-def test_csr_and_asymmetry_are_built_once(monkeypatch):
+def test_csr_is_built_once():
     m = SparseMatrix.from_triples(3, [0, 1, 2], [1, 0, 2], [1.0, 1.5, 2.0])
     # the CSR is built once, as the storage: to_csr wraps it without a copy
     csr = m.to_csr()
     for wrapped, stored in ((csr.indptr, m.indptr), (csr.indices, m.indices), (csr.data, m.data)):
         assert np.shares_memory(wrapped, stored)
     assert csr.has_sorted_indices
-    assert m.max_abs_asymmetry() == 0.5
-    monkeypatch.setattr(SparseMatrix, "to_csr", lambda self: pytest.fail("rebuilt"))
     assert m.max_abs_asymmetry() == 0.5
     with pytest.raises(NonSymmetricError):
         sparse_lowest_eigen(m, 1)

@@ -242,8 +242,8 @@ def test_n5_spot_check(two_site):
     block = build_term(TermId.CSS, basis, space, spectrum).to_dense()
     ket = OccupationState((2, 1), (1,))
     bra = OccupationState((0, 1), (2,))
-    i = basis.position(bra)
-    j = basis.position(ket)
+    i = basis.states.index(bra)
+    j = basis.states.index(ket)
     got = oracle_matrix_element(TermId.CSS, bra, ket, space, spectrum)
     assert got == pytest.approx(block[i, j], abs=1e-10)
     assert abs(got) > 1e-8  # the element is genuinely nonzero
