@@ -55,7 +55,7 @@ class Pair:
 FormalFactor = Union[Atom, Pair]
 
 
-def _factor_labels(factor: FormalFactor) -> tuple[int, ...]:
+def factor_labels(factor: FormalFactor) -> tuple[int, ...]:
     return (factor.label,) if isinstance(factor, Atom) else factor.labels
 
 
@@ -73,11 +73,11 @@ class FormalProduct:
     factors: tuple[FormalFactor, ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(sorted(self.factors, key=lambda f: min(_factor_labels(f))))
+        factors = tuple(sorted(self.factors, key=lambda f: min(factor_labels(f))))
         object.__setattr__(self, "factors", factors)
         seen: set[int] = set()
         for f in factors:
-            for lab in _factor_labels(f):
+            for lab in factor_labels(f):
                 if lab in seen:
                     raise ValueError(f"particle label {lab} appears twice")
                 seen.add(lab)
@@ -85,7 +85,7 @@ class FormalProduct:
     @cached_property
     def labels(self) -> frozenset[int]:
         return frozenset(
-            lab for f in self.factors for lab in _factor_labels(f)
+            lab for f in self.factors for lab in factor_labels(f)
         )
 
     @cached_property
@@ -190,7 +190,7 @@ def pair_interaction_ops(i: int, j: int) -> tuple[Operator, ...]:
     return (OneBody(i), OneBody(j), TwoBody(i, j))
 
 
-def _op_labels(op: Operator) -> tuple[int, ...]:
+def op_labels(op: Operator) -> tuple[int, ...]:
     return (op.label,) if isinstance(op, OneBody) else (op.a, op.b)
 
 
@@ -228,7 +228,7 @@ def _single_op_value(
     pair through ``matmul``.
     """
     labels = sorted(bra.labels)
-    acted = set(_op_labels(op))
+    acted = set(op_labels(op))
     letters = iter(string.ascii_letters)
     bra_sub: dict[int, str] = {}
     ket_sub: dict[int, str] = {}
@@ -360,7 +360,7 @@ def fragment_table(
     if left_labels != labels:
         raise ValueError(f"label sets differ: left covers {left_labels}, right covers {labels}")
     for op in ops:
-        missing = set(_op_labels(op)) - set(labels)
+        missing = set(op_labels(op)) - set(labels)
         if missing:
             raise ValueError(f"operator acts on labels {sorted(missing)} not in the slots")
     if spectrum is None and any(kind == "C" for kind, _ in (*left, *right)):
@@ -369,7 +369,7 @@ def fragment_table(
     table = np.zeros([sizes[kind] for kind, _ in (*left, *right)])
     atoms_both = {w for k, w in left if k == "S"} & {w for k, w in right if k == "S"}
     for op, first, second in _fused(ops):
-        acted = set(_op_labels(op))
+        acted = set(op_labels(op))
         letters = iter(string.ascii_letters)
         bra_sub: dict[int, str] = {}
         ket_sub: dict[int, str] = {}
@@ -428,7 +428,7 @@ def labeled_matrix_element(
             f"ket covers {sorted(ket.labels)}"
         )
     for op in ops:
-        missing = set(_op_labels(op)) - bra.labels
+        missing = set(op_labels(op)) - bra.labels
         if missing:
             raise ValueError(f"operator acts on labels {sorted(missing)} not in the products")
     total = 0.0
@@ -474,12 +474,12 @@ class ElementEngine:
         if ket.sort_key < bra.sort_key:
             bra, ket = ket, bra
         bkey, kkey = bra.sort_key, ket.sort_key
-        op_labels = [_op_labels(op) for op in ops]
-        labels = set().union(*op_labels, *(f[1] for f in bkey + kkey))
+        acted = [op_labels(op) for op in ops]
+        labels = set().union(*acted, *(f[1] for f in bkey + kkey))
         rank = {lab: r for r, lab in enumerate(sorted(labels))}.__getitem__
         key = (
             _renumbered(bkey, rank),
-            tuple(tuple(map(rank, labs)) for labs in op_labels),
+            tuple(tuple(map(rank, labs)) for labs in acted),
             _renumbered(kkey, rank),
         )
         value = self._cache.get(key)

@@ -28,8 +28,8 @@ from .hamiltonian import (
     assemble_hamiltonian,
     split_sectors,
 )
-from .modespace import CompositeSpectrum, ModeSpace
-from .models import ConfigError, ModelConfig, build_mode_space, load_config
+from .modespace import BelowEdge, CompositeSpectrum, ModeSpace
+from .models import ConfigError, ModelConfig, RingModel, build_mode_space, load_config
 from .numerics import EigenConvergenceError, NonSymmetricError, sparse_lowest_eigen
 from .oracle import TERM_READING, Column, sweep_columns, verify_sectors
 
@@ -215,9 +215,6 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _config_echo(config: ModelConfig) -> dict:
-    from .models import RingModel
-    from .modespace import BelowEdge
-
     model = config.model
     if isinstance(model, RingModel):
         model_doc = {"type": "ring", "sites": model.sites, "t": model.t, "U": model.u}

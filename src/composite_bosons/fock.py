@@ -4,7 +4,9 @@ States count bosons in ``M`` unbound (atom) modes and ``A`` composite
 (molecule) modes.  The constituent number N = sum(atoms) + 2*sum(molecules)
 is conserved by every Hamiltonian term, so Fock space splits into exact
 fixed-N sectors which this module enumerates deterministically.  A sector
-basis is its array of occupation counts, built and checked as a whole.
+basis is its array of occupation counts, built and checked as a whole.  Its
+five annihilator ladders, one per product of one or two annihilators, serve
+every Hamiltonian term; SCSC reads the (atom, molecule) one on both sides.
 """
 
 from __future__ import annotations
@@ -192,13 +194,13 @@ class SectorBasis:
 # ---------------------------------------------------------------------------
 # Annihilator ladders of a basis.
 
-# Every product of one or two annihilators, by the species of its factors.
+# Every product of one or two annihilators once, by the species of its factors,
+# atoms first: a_n c_b and c_b a_n are one operator, the modes being independent.
 ANNIHILATOR_GROUPS: tuple[tuple[Species, ...], ...] = (
     ("atom",),
     ("molecule",),
     ("atom", "atom"),
     ("atom", "molecule"),
-    ("molecule", "atom"),
     ("molecule", "molecule"),
 )
 

@@ -18,10 +18,11 @@ contraction of ``O``, ``T4`` and the pair coefficients ``phi[a, p, q]``
 built once by :func:`coefficient_tensors`.  Each term's block is the sparse
 product ``pref * L^T (C (x) I) R``: ``L`` and ``R`` are the annihilator
 ladders of the term's bra and ket groups, and ``C`` is the tensor with its
-bra axes flattened into rows.  The ladders come from
-:attr:`SectorBasis.annihilator_ladders`, built once per basis by array
-operations on its occupation array, with the images of all groups ranked
-jointly, and shared by every term.  ``(C (x) I) R`` is formed without the
+bra axes flattened into rows.  The five ladders, one per product of one or
+two annihilators, come from :attr:`SectorBasis.annihilator_ladders`, built
+once per basis by array operations on its occupation array, with the images
+of all groups ranked jointly, and shared by every term; SCSC reads the
+(atom, molecule) ladder on both sides.  ``(C (x) I) R`` is formed without the
 Kronecker product, as ``C`` times the ket ladder with its (image, state)
 pairs as columns, and the block is read straight from the CSR product.
 Each block is bitwise the one the Kronecker form gives.  This route does
@@ -96,11 +97,13 @@ def coefficient_tensors(space: ModeSpace, spectrum: CompositeSpectrum) -> dict[T
     """The seven coefficient tensors of one model.
 
     ``SS[n, m]``, ``SSSS[m, n, p, q]``, ``CC[a, b]``, ``CSS[a, m, n]``,
-    ``SSC[m, n, a]``, ``SCSC[m, a, b, n]`` and ``CCCC[a, b, t, u]`` hold the
-    bra indices first and the ket indices last.  Each is the exact
-    contraction of its bra and ket particle-label structures with the
-    operator the term carries.  ``SSC`` is the transpose of ``CSS``, so the
-    two rearrangement blocks come out bitwise transposed.
+    ``SSC[m, n, a]``, ``SCSC[m, a, n, b]`` and ``CCCC[a, b, t, u]`` hold the
+    bra indices first and the ket indices last, atoms before molecules on
+    each side.  Each is the exact contraction of its bra and ket
+    particle-label structures with the operator the term carries; ``SCSC`` is
+    summed as ``[m, a, b, n]`` and returned as a view.  ``SSC`` is the
+    transpose of ``CSS``, so the two rearrangement blocks come out bitwise
+    transposed.
     """
     o = space.one_body.mat
     t4 = space.two_body.t4
@@ -139,9 +142,9 @@ def coefficient_tensors(space: ModeSpace, spectrum: CompositeSpectrum) -> dict[T
         TermId.CSS: css,
         TermId.SSC: css.T,
         # direct ket phi_b(2,3) n(1); exchange kets phi_b(1,3) n(2) and phi_b(1,2) n(3)
-        TermId.SCSC: contract("manjk,bjk->mabn", atom_pair_cross, phi)
-        + contract("maink,bik->mabn", atom_pair, phi)
-        + contract("maijn,bij->mabn", atom_pair, phi),
+        TermId.SCSC: (contract("manjk,bjk->mabn", atom_pair_cross, phi)
+                      + contract("maink,bik->mabn", atom_pair, phi)
+                      + contract("maijn,bij->mabn", atom_pair, phi)).transpose(0, 1, 3, 2),
         # direct ket phi_t(3,4) phi_u(1,2); exchange kets phi_t(2,4) phi_u(1,3)
         # and phi_t(2,3) phi_u(1,4)
         TermId.CCCC: contract("abijkl,tkl,uij->abtu", pair_pair_cross, phi, phi)
@@ -162,7 +165,7 @@ _GROUPS: Mapping[TermId, tuple[tuple[Species, ...], tuple[Species, ...]]] = {
     TermId.SSSS: (("atom", "atom"), ("atom", "atom")),
     TermId.CC: (("molecule",), ("molecule",)),
     TermId.CSS: (("molecule",), ("atom", "atom")),
-    TermId.SCSC: (("atom", "molecule"), ("molecule", "atom")),
+    TermId.SCSC: (("atom", "molecule"), ("atom", "molecule")),
     TermId.CCCC: (("molecule", "molecule"), ("molecule", "molecule")),
 }
 

@@ -76,8 +76,10 @@ from .algebra import (
     Pair,
     Slot,
     TwoBody,
+    factor_labels,
     formal_inner_product,
     fragment_table,
+    op_labels,
     pair_interaction_ops,
     slot_labels,
 )
@@ -206,10 +208,6 @@ Layout = tuple[tuple[int, ...], ...]  # the labels of each factor, in factor ord
 Emission = tuple[int, float]  # (position in the entry's bra list, amplitude)
 
 
-def _labels_of(factor: FormalFactor) -> tuple[int, ...]:
-    return (factor.label,) if isinstance(factor, Atom) else factor.labels
-
-
 def _mode_of(factor: FormalFactor) -> int:
     return factor.mode if isinstance(factor, Atom) else factor.index
 
@@ -248,8 +246,7 @@ def _shape(term: TermId, ops: tuple[Operator, ...], right: tuple[Slot, ...],
     def slots(group: tuple[Slot, ...]) -> tuple:
         return tuple((slot[0], tuple(map(rank, slot_labels(slot)))) for slot in group)
 
-    acted = (((op.label,) if isinstance(op, OneBody) else (op.a, op.b)) for op in ops)
-    return (term, tuple(tuple(map(rank, labs)) for labs in acted),
+    return (term, tuple(tuple(map(rank, op_labels(op))) for op in ops),
             slots(right), tuple(map(slots, left)))
 
 
@@ -387,7 +384,7 @@ def apply_projected_term(
             entry.bras[k].factors + tuple([prod.factors[p] for p in entry.spectators]),
         )
         for prod in state.products
-        for entry in _plan(term, tuple(map(_labels_of, prod.factors)), memo)
+        for entry in _plan(term, tuple(map(factor_labels, prod.factors)), memo)
         for k, amp in entry.emitted(tuple(map(_mode_of, prod.factors)))
     ]
     if not out:

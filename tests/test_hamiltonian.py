@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_bosons import hamiltonian
-from composite_bosons.fock import SectorBasis, enumerate_sector, ladder_matrix
+from composite_bosons.fock import ANNIHILATOR_GROUPS, SectorBasis, enumerate_sector, ladder_matrix
 from composite_bosons.hamiltonian import (
     HermiticityError,
     TermId,
@@ -77,7 +77,7 @@ def _reference_element(space, spectrum, term, index):
         m, n, a = index
         return element((Atom(m, 1), Atom(n, 2)), h2, (Pair(a, (1, 2)),))
     if term is TermId.SCSC:
-        m, a, b, n = index
+        m, a, n, b = index
         bra = (Atom(m, 1), Pair(a, (2, 3)))
         return (
             element(bra, (TwoBody(1, 2), TwoBody(1, 3)), (Pair(b, (2, 3)), Atom(n, 1)))
@@ -457,6 +457,15 @@ def test_build_term_rejects_mismatched_spectrum(two_site, random_model):
         build_term(TermId.SS, basis, space, spectrum3)
 
 
+def test_each_annihilator_product_has_one_ladder_and_every_ladder_is_read():
+    # atom and molecule modes are independent bosons: a reordering of a
+    # product is the same operator and gets no ladder of its own
+    products = [tuple(sorted(group)) for group in ANNIHILATOR_GROUPS]
+    assert len(set(products)) == len(products)
+    read = {group for groups in hamiltonian._GROUPS.values() for group in groups}
+    assert read == set(ANNIHILATOR_GROUPS)
+
+
 # Each term's normal-ordered operator string, one (species, direction) per
 # tensor axis, and its prefactor.
 _OPERATOR_STRINGS = {
@@ -479,8 +488,8 @@ _OPERATOR_STRINGS = {
         (
             ("atom", "create"),
             ("molecule", "create"),
-            ("molecule", "annihilate"),
             ("atom", "annihilate"),
+            ("molecule", "annihilate"),
         ),
     ),
     TermId.CCCC: (

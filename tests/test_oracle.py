@@ -20,6 +20,7 @@ from composite_bosons.algebra import (
     OneBody,
     Pair,
     TwoBody,
+    factor_labels,
     formal_inner_product,
     labeled_matrix_element,
     pair_interaction_ops,
@@ -310,7 +311,7 @@ def _blueprint_loop(term, state, space, spectrum):
     # (lower sort key as the bra)
     out = []
     for prod in state.products:
-        layout = tuple(map(oracle._labels_of, prod.factors))
+        layout = tuple(map(factor_labels, prod.factors))
         for right, ops, lefts in oracle._term_blueprints(term, *_atoms_and_pairs(layout)):
             matched, spectators = _split(prod, right)
             ket = FormalProduct(1.0, matched)
@@ -706,7 +707,7 @@ def test_closed_forms_match_expansion(random_model, ring6):
             for j, state in enumerate(basis.states):
                 products = expand_basis_state(state).products
                 layout, modes, codes, ket_weight = read[j]
-                assert layout == tuple(map(oracle._labels_of, products[0].factors)), state
+                assert layout == tuple(map(factor_labels, products[0].factors)), state
                 assert modes == tuple(map(oracle._mode_of, products[0].factors)), state
                 counts = state.atoms + state.molecules
                 assert sum(codes) == sum(c * d for c, d in zip(counts, digits)), state
